@@ -41,7 +41,6 @@ def write_json(
     title: str,
     data: dict,
     cache: dict | None = None,
-    backend: str | None = None,
 ) -> pathlib.Path:
     """Write machine-readable results to benchmarks/out/<name>.json.
 
@@ -49,10 +48,8 @@ def write_json(
     the experiment is parameterized).  ``cache`` records the language-
     cache configuration the numbers were measured under (see
     docs/CACHING.md); benchmarks that never activate one record
-    ``{"enabled": False}``.  ``backend`` records which automata kernel
-    set (docs/BACKENDS.md) produced the numbers; it defaults to the
-    backend active at write time, so ``DPRLE_BACKEND=bitset`` runs are
-    distinguishable in the aggregate.  Every call also re-aggregates
+    ``{"enabled": False}``.  ``backend`` records the automata kernel set
+    (docs/BACKENDS.md) active at write time.  Every call also re-aggregates
     all per-benchmark JSON files into the top-level
     ``BENCH_solver.json`` so a full benchmark run leaves one
     perf-trajectory artifact behind (see docs/OBSERVABILITY.md for the
@@ -64,7 +61,7 @@ def write_json(
         "name": name,
         "title": title,
         "cache": cache if cache is not None else {"enabled": False},
-        "backend": backend if backend is not None else active_backend().name,
+        "backend": active_backend().name,
         "data": data,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -241,7 +241,6 @@ def main() -> int:
         "backend_smoke",
         "Bitset vs reference backend (Sec. 3.5 chain family, CPU-time medians)",
         data,
-        backend="bitset",
     )
 
     if failed:

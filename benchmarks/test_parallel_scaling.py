@@ -153,31 +153,31 @@ def test_work_bounding_fig9_first_solution():
 
 
 def test_planner_first_solution_sweep():
-    """Enumeration-planner sweep (docs/PLANNER.md): plan off vs equiv
-    vs full on the wide fixtures at ``max_solutions=1``, serial so the
-    counters are exact.  The headline acceptance ratio — plan=full must
-    enumerate >= 5x fewer combinations than plan=off before the first
-    solution — is asserted here and counter-gated in CI against
-    ``benchmarks/baseline/stats_wide_planned.json``."""
+    """Enumeration-planner sweep (docs/PLANNER.md): planner off vs on
+    on the wide fixtures at ``max_solutions=1``, serial so the counters
+    are exact.  The headline acceptance ratio — the planner must
+    enumerate >= 5x fewer combinations than the unplanned walk before
+    the first solution — is asserted here and counter-gated in CI
+    against ``benchmarks/baseline/stats_wide_planned.json``."""
     from repro.cache import LangCache
 
     rows = {}
     for fixture in ("wide.dprle", "wider.dprle"):
         problem = parse_problem((DATA / fixture).read_text())
-        for mode in ("off", "equiv", "full"):
+        for label, plan in (("off", False), ("plan", True)):
             with LangCache().activate(), obs.collect() as collector:
                 started = time.perf_counter()
                 solutions = solve(
                     problem,
                     max_solutions=1,
-                    limits=GciLimits(workers=0, plan=mode),
+                    limits=GciLimits(workers=0, plan=plan),
                 )
                 elapsed = time.perf_counter() - started
             counters = collector.metrics.snapshot()["counters"]
-            assert len(solutions) == 1, (fixture, mode)
-            rows[f"{fixture.split('.')[0]}:{mode}"] = {
+            assert len(solutions) == 1, (fixture, plan)
+            rows[f"{fixture.split('.')[0]}:{label}"] = {
                 "fixture": fixture,
-                "plan": mode,
+                "plan": plan,
                 "wall_seconds": round(elapsed, 6),
                 "combinations_total": counters["gci.combinations_total"],
                 "combinations_factored": counters.get(
@@ -196,8 +196,8 @@ def test_planner_first_solution_sweep():
 
     for fixture in ("wide", "wider"):
         off = rows[f"{fixture}:off"]["combinations_enumerated"]
-        full = rows[f"{fixture}:full"]["combinations_enumerated"]
-        assert off >= 5 * full, (fixture, off, full)
+        planned = rows[f"{fixture}:plan"]["combinations_enumerated"]
+        assert off >= 5 * planned, (fixture, off, planned)
 
     from benchmarks._util import write_json, write_table
 

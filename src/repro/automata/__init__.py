@@ -4,9 +4,7 @@ from .alphabet import ASCII_PRINTABLE, BYTE_ALPHABET, Alphabet
 from .backend import (
     AutomataBackend,
     active_backend,
-    available_backends,
     get_backend,
-    register_backend,
     use_backend,
 )
 from .analysis import (
@@ -59,9 +57,7 @@ __all__ = [
     "ASCII_PRINTABLE",
     "AutomataBackend",
     "active_backend",
-    "available_backends",
     "get_backend",
-    "register_backend",
     "use_backend",
     "CharSet",
     "minterms",

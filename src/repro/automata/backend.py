@@ -1,27 +1,24 @@
-"""The automata backend protocol: pluggable kernels for the hot paths.
+"""The automata backend protocol: two kernel sets for the hot paths.
 
 Per the observability spans, ``determinize``, ``product``, and Hopcroft
 minimization dominate solver wall time.  This module factors those
-kernels behind a small protocol so they can be swapped without touching
-any call site:
+kernels behind a small protocol with two implementations:
 
-* :class:`ReferenceBackend` — the original dict-of-dicts kernels in
-  :mod:`repro.automata.dfa` and :mod:`repro.automata.ops`.  Simple,
-  readable, and the semantic baseline every other backend is
-  property-tested against.
 * :class:`~repro.automata.bitset.BitsetBackend` (name ``"bitset"``) —
-  vectorized kernels over Python ``int`` bitmasks: NFA state sets are
-  single integers, transition relations are per-minterm bitset rows,
-  subset construction and inclusion run by bitwise frontier
+  the production kernels, over Python ``int`` bitmasks: NFA state sets
+  are single integers, transition relations are per-minterm bitset
+  rows, subset construction and inclusion run by bitwise frontier
   propagation, and Hopcroft refines integer partition arrays.
+* :class:`ReferenceBackend` (name ``"reference"``) — the original
+  dict-of-dicts kernels in :mod:`repro.automata.dfa` and
+  :mod:`repro.automata.ops`.  Simple, readable, and the test oracle the
+  bitset kernels are property-tested against.
 
-Selection is scoped like the language cache (:mod:`repro.cache`): a
-context variable consulted by the instrumented entry points in
-``dfa``/``ops``/``equivalence``, installed for a dynamic extent with
-:func:`use_backend`.  When no backend is installed, the
-``DPRLE_BACKEND`` environment variable names the default; unset means
-``"reference"``.  `RegLangSolver(backend=...)`, ``GciLimits.backend``,
-and the CLI ``--backend`` flag all funnel into this module.
+Bitset is always the default.  :func:`use_backend` installs the other
+kernel set for a dynamic extent, scoped like the language cache
+(:mod:`repro.cache`): a context variable consulted by the instrumented
+entry points in ``dfa``/``ops``/``equivalence``.  The property suites
+use it to run the oracle.
 
 Backends must be *stateless* (all per-call state lives in compiled
 views of the operand machines): instances are shared across solves and
@@ -43,16 +40,14 @@ Semantics contract (property-tested in ``tests/backend/``):
   ever consumed as a language (Galois maximization, signatures), so a
   backend may merge transitions that share a destination.
 
-See ``docs/BACKENDS.md`` for the full contract and for how to add a
-native (Rust/C) backend behind the same protocol.
+See ``docs/BACKENDS.md`` for the full contract.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Protocol, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Protocol, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .dfa import Dfa
@@ -61,16 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 __all__ = [
     "AutomataBackend",
     "ReferenceBackend",
-    "available_backends",
-    "register_backend",
     "get_backend",
     "active_backend",
     "use_backend",
-    "BACKEND_ENV",
 ]
-
-#: Environment variable naming the process-wide default backend.
-BACKEND_ENV = "DPRLE_BACKEND"
 
 
 class AutomataBackend(Protocol):
@@ -167,48 +156,28 @@ class ReferenceBackend:
         return _left_quotient(prefixes, language)
 
 
-# -- the registry ------------------------------------------------------------
+# -- lookup by name ----------------------------------------------------------
 
-_factories: dict[str, Callable[[], AutomataBackend]] = {}
 _instances: dict[str, AutomataBackend] = {}
 
 
-def register_backend(name: str, factory: Callable[[], AutomataBackend]) -> None:
-    """Register a backend under ``name`` (how a native drop-in plugs in)."""
-    if name in _factories:
-        raise ValueError(f"automata backend {name!r} is already registered")
-    _factories[name] = factory
-
-
-def available_backends() -> list[str]:
-    """The registered backend names, sorted."""
-    return sorted(_factories)
-
-
 def get_backend(name: str) -> AutomataBackend:
-    """The (shared, stateless) backend instance registered under ``name``."""
+    """The shared, stateless backend named ``"bitset"`` or ``"reference"``."""
     instance = _instances.get(name)
     if instance is not None:
         return instance
-    factory = _factories.get(name)
-    if factory is None:
+    if name == "bitset":
+        from .bitset import BitsetBackend
+
+        instance = BitsetBackend()
+    elif name == "reference":
+        instance = ReferenceBackend()
+    else:
         raise ValueError(
-            f"unknown automata backend {name!r} "
-            f"(available: {', '.join(available_backends())})"
+            f"unknown automata backend {name!r} (expected bitset or reference)"
         )
-    instance = factory()
     _instances[name] = instance
     return instance
-
-
-def _make_bitset() -> AutomataBackend:
-    from .bitset import BitsetBackend
-
-    return BitsetBackend()
-
-
-register_backend("reference", ReferenceBackend)
-register_backend("bitset", _make_bitset)
 
 
 # -- the contextvar scope ----------------------------------------------------
@@ -221,18 +190,12 @@ _active: ContextVar[Optional[AutomataBackend]] = ContextVar(
 def active_backend() -> AutomataBackend:
     """The backend for the current dynamic extent.
 
-    Resolution order: explicitly installed backend (:func:`use_backend`)
-    → the ``DPRLE_BACKEND`` environment variable → ``"reference"``.
-    A bad environment value raises, loudly — silently falling back
-    would let a typo masquerade as a measurement of the named backend.
+    The backend installed by :func:`use_backend`, else bitset.
     """
     current = _active.get()
     if current is not None:
         return current
-    env = os.environ.get(BACKEND_ENV, "").strip()
-    if env:
-        return get_backend(env)
-    return get_backend("reference")
+    return get_backend("bitset")
 
 
 @contextmanager
@@ -241,8 +204,7 @@ def use_backend(
 ) -> Iterator[AutomataBackend]:
     """Install ``backend`` (a name or an instance) for the block.
 
-    ``None`` is a no-op that yields the currently active backend, so
-    callers can wrap unconditionally (`with use_backend(limits.backend)`).
+    ``None`` is a no-op that yields the currently active backend.
     """
     if backend is None:
         yield active_backend()

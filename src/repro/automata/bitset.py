@@ -38,8 +38,7 @@ states refined), so serial counter snapshots stay backend-independent
 ``numpy`` is deliberately not required: Python's arbitrary-precision
 ints already vectorize the OR/AND frontier work, machines regularly
 exceed 64 states (where fixed-width arrays would need chunking), and
-the container baseline must not grow dependencies.  A numpy or native
-kernel can slot in behind the same protocol later (docs/BACKENDS.md).
+the package must not grow dependencies.
 """
 
 from __future__ import annotations
@@ -796,9 +795,11 @@ class BitsetBackend:
 
         # packed[i]: minterm-indexed n-bit fields, field k holding the
         # successor bit of DFA state i on block k.  step[i][k] is the
-        # same successor as a plain index (for the pair search).
+        # same successor as a plain index (for the pair search), or -1
+        # on a block outside the alphabet (a prefix label may carry
+        # characters the complete DFA has no move on).
         packed = [0] * n
-        step = [[0] * nmt for _ in range(n)]
+        step = [[-1] * nmt for _ in range(n)]
         for state, moves in dfa.transitions.items():
             i = index[state]
             row = step[i]
@@ -834,6 +835,8 @@ class BitsetBackend:
                         stack.append(nxt)
                 else:
                     for k in _bits(label_mask(edge.label)):
+                        if row[k] < 0:
+                            continue
                         nxt = (edge.dst, row[k])
                         if nxt not in seen:
                             seen.add(nxt)

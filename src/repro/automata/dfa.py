@@ -2,8 +2,8 @@
 
 The decision procedure itself works on ε-NFAs, but three supporting
 operations need determinism: complementation (for subset *checking*),
-language equivalence, and the NFA-minimization ablation the paper
-suggests in Sec. 4.  DFAs here are always *complete* — every state has
+language equivalence, and canonical minimization (the language
+signatures of :mod:`repro.cache`).  DFAs here are always *complete* — every state has
 an outgoing transition for every character — with labels forming a
 partition of the alphabet universe.
 """
@@ -330,8 +330,8 @@ def minimize_nfa(nfa: Nfa) -> Nfa:
     """Canonical minimal *deterministic* machine for ``L(nfa)``, as an NFA.
 
     This is the intermediate-machine minimization the paper suggests
-    (Sec. 4) as a remedy for the ``secure`` outlier; the ablation
-    benchmark toggles it.  With a language cache active the minimal
+    (Sec. 4) as a remedy for the ``secure`` outlier.  With a language
+    cache active the minimal
     machine falls out of the signature computation and is memoized by
     signature, so equivalent machines minimize once.
     """

@@ -375,12 +375,7 @@ def _left_quotient_instrumented(prefixes: Nfa, language: Nfa) -> Nfa:
         language_states=language.num_states,
         backend=backend.name,
     ) as sp:
-        # Backends registered before the kernel existed keep working:
-        # absent the method, the reference construction runs.
-        impl = getattr(backend, "left_quotient", None)
-        out = impl(prefixes, language) if impl is not None else _left_quotient(
-            prefixes, language
-        )
+        out = backend.left_quotient(prefixes, language)
         sp.set("states_out", out.num_states)
         return out
 

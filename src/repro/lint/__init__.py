@@ -10,8 +10,7 @@ over ``src/`` in CI.  See ``docs/LINTING.md`` for the rule catalog and
 the historical bug each rule encodes.
 
 Entry points: :func:`run_lint` (library), ``dprle lint`` (CLI).
-Out-of-tree rules plug in via :func:`repro.lint.rules.register_rule`,
-the same shape as :func:`repro.automata.backend.register_backend`.
+Out-of-tree rules plug in via :func:`repro.lint.rules.register_rule`.
 """
 
 from .diagnostics import CODES, SCHEMA, LintFinding, LintReport, Severity

@@ -1,5 +1,4 @@
-"""The rule registry: pluggable lint rules, same shape as the automata
-backend registry (:func:`repro.automata.backend.register_backend`).
+"""The rule registry: pluggable lint rules, resolved by name.
 
 A rule is a named object with a tuple of L-codes it may emit and a
 ``check(ctx)`` generator over :class:`~repro.lint.engine.FileContext`.
@@ -34,7 +33,7 @@ _REGISTRY: dict[str, Rule] = {}
 
 def register_rule(rule: Rule) -> None:
     """Register a rule under its name; re-registration replaces (last
-    wins, like backend registration)."""
+    wins)."""
     _REGISTRY[rule.name] = rule
 
 

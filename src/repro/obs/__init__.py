@@ -29,9 +29,9 @@ counts and duration histograms (``span.<name>``,
 ends in ``states`` / ``states_in`` / ``states_out``.
 
 **Collection** — :func:`collect` activates a :class:`Collector` for a
-``with`` block, contextvar-scoped exactly like the legacy
-:func:`repro.stats.measure` (thread- and async-safe; concurrent
-contexts never share a collector).  The collector exports
+``with`` block, contextvar-scoped (thread- and async-safe; concurrent
+contexts never share a collector, and nested collectors each see every
+event, so inner work counts toward every enclosing scope).  The collector exports
 :meth:`~Collector.to_dict` / :meth:`~Collector.to_json` (see
 ``docs/OBSERVABILITY.md`` for the schema) and a human-readable
 :meth:`~Collector.render_trace`.
@@ -39,11 +39,6 @@ contexts never share a collector).  The collector exports
 When nothing is active every hook degenerates to one contextvar read —
 a measured near-no-op (see ``tests/obs/test_overhead.py``), so the
 instrumentation can live permanently in the hot paths.
-
-The legacy :mod:`repro.stats` module is a thin compatibility shim over
-the sink mechanism here: ``measure()`` trackers and ``collect()``
-collectors stack freely, and every active sink sees every event, so
-nested scopes propagate counts to all ancestors.
 """
 
 from __future__ import annotations
@@ -400,7 +395,7 @@ class Collector:
         self._visited_counter = self.metrics.counter("states_visited")
         self._dropped_counter = self.metrics.counter("obs.spans_dropped")
 
-    # -- event sinks (shared interface with stats.CostTracker) --------
+    # -- event sinks (shared interface with the journal) ---------------
 
     def visit(self, count: int) -> None:
         self._stack[-1].states_visited += count
@@ -534,7 +529,7 @@ class Collector:
 # All active sinks, outermost first.  A sink is anything with
 # visit()/record(); sinks with handles_spans=True (collectors) also see
 # span open/close.  Every event goes to *every* sink, which is what
-# makes nested measure()/collect() scopes propagate to their ancestors.
+# makes nested collect() scopes propagate to their ancestors.
 _sinks: ContextVar[Optional[tuple]] = ContextVar("dprle_obs_sinks", default=None)
 
 
@@ -570,30 +565,14 @@ def absorb(snapshot: dict[str, Any], label: str = "worker") -> None:
     """Fold a child collector's exported snapshot into every active sink.
 
     Collectors merge metrics and graft the child trace
-    (:meth:`Collector.absorb`); legacy :class:`repro.stats.CostTracker`
-    sinks receive the child's ``states_visited`` total and operation
-    counts, so ``measure()`` blocks stay accurate when part of the work
-    ran in worker processes.  A no-op when nothing is active.
+    (:meth:`Collector.absorb`).  Sinks without an ``absorb`` method (the
+    journal, which streams only this process's events) are skipped.  A
+    no-op when nothing is active.
     """
-    active = _sinks.get()
-    if active is None:
-        return
-    counters = (snapshot.get("metrics") or {}).get("counters") or {}
-    states = counters.get("states_visited", 0)
-    operations = {
-        name[3:]: value
-        for name, value in counters.items()
-        if name.startswith("op.") and value
-    }
-    for sink in active:
-        if getattr(sink, "handles_spans", False):
-            sink.absorb(snapshot, label)
-        else:
-            if states:
-                sink.visit(states)
-            fold = getattr(sink, "absorb_operations", None)
-            if fold is not None:
-                fold(operations)
+    for sink in active_sinks():
+        fold = getattr(sink, "absorb", None)
+        if fold is not None:
+            fold(snapshot, label)
 
 
 def current_collector() -> Optional[Collector]:

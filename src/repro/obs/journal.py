@@ -265,7 +265,7 @@ def journal_to(
 
     ``target`` may be a path (opened for writing, closed on exit) or an
     already-open text stream (left open).  The journal stacks with any
-    active collectors/trackers; every sink sees every event.
+    active collectors; every sink sees every event.
     """
     stream: IO[str]
     owned = isinstance(target, (str, Path))

@@ -181,16 +181,11 @@ def encode_group(prepared, limits) -> dict[str, Any]:
         "plan": None
         if prepared.plan is None
         else {
-            "mode": prepared.plan.mode,
             "space": prepared.plan.space,
             "pruned_equiv": prepared.plan.pruned_equiv,
             "pruned_plan": prepared.plan.pruned_plan,
             "survivors": prepared.plan.survivors,
-            "mask": (
-                format(prepared.plan.mask, "x")
-                if prepared.plan.mask is not None
-                else None
-            ),
+            "mask": format(prepared.plan.mask, "x"),
         },
         "limits": {
             "maximize": limits.maximize,
@@ -265,16 +260,11 @@ def _decode_payload(payload: dict[str, Any]) -> _WorkerState:
         from .solver.plan import EnumerationPlan
 
         plan = EnumerationPlan(
-            mode=plan_doc["mode"],
             space=plan_doc["space"],
             pruned_equiv=plan_doc["pruned_equiv"],
             pruned_plan=plan_doc["pruned_plan"],
             survivors=plan_doc["survivors"],
-            mask=(
-                int(plan_doc["mask"], 16)
-                if plan_doc["mask"] is not None
-                else None
-            ),
+            mask=int(plan_doc["mask"], 16),
         )
     prepared = gci._PreparedGroup(
         machines=machines,
@@ -455,23 +445,17 @@ def _schedule_chunks(
     """Chunk the group's index space and pick the submission policy.
 
     Unplanned groups keep the historical behaviour: every chunk
-    submitted eagerly, in canonical order.  A planned group with a
-    viability mask drops zero-survivor chunks entirely, submits
-    best-first by exact survivor count, and — when ``max_solutions``
-    caps the solve — throttles the in-flight window to
-    ``GciLimits.beam_width`` (or an automatic width: the canonical
-    chunk prefix whose cumulative predicted yield covers the cap, never
-    fewer than the worker count).
+    submitted eagerly, in canonical order.  A planned group drops
+    zero-survivor chunks entirely, submits best-first by exact survivor
+    count, and — when ``max_solutions`` caps the solve — throttles the
+    in-flight window to the canonical chunk prefix whose cumulative
+    predicted yield covers the cap (never fewer chunks than workers).
     """
     ranges = _chunk_ranges(prepared.index_space, workers)
     plan = prepared.plan
     order: Optional[list[int]] = None
     window: Optional[int] = None
-    if (
-        plan is not None
-        and plan.mask is not None
-        and plan.mode in ("beam", "full")
-    ):
+    if plan is not None:
         yields = [plan.count_survivors(s, e) for s, e in ranges]
         keep = [i for i, y in enumerate(yields) if y > 0]
         if len(keep) != len(ranges):
@@ -483,16 +467,13 @@ def _schedule_chunks(
         order = sorted(range(len(ranges)), key=lambda i: (-yields[i], i))
         cap = limits.max_solutions
         if cap is not None and ranges:
-            if limits.beam_width > 0:
-                window = limits.beam_width
-            else:
-                window, cumulative = 0, 0
-                for chunk_yield in yields:
-                    window += 1
-                    cumulative += chunk_yield
-                    if cumulative >= cap:
-                        break
-                window = max(window, workers)
+            window, cumulative = 0, 0
+            for chunk_yield in yields:
+                window += 1
+                cumulative += chunk_yield
+                if cumulative >= cap:
+                    break
+            window = max(window, workers)
     return _ChunkSchedule(pool, payload, ranges, order=order, window=window)
 
 
@@ -504,7 +485,7 @@ def parallel_candidates(
     same canonical order, work fanned out across the pool.
 
     Chunk submission follows the group's :class:`_ChunkSchedule` (eager
-    canonical for unplanned groups, best-first/beam for planned ones);
+    canonical for unplanned groups, best-first for planned ones);
     the generator drains chunks in canonical order.  Closing the
     generator early — the consumer's streaming cap or safe-frontier
     exit — cancels every submitted-but-unstarted chunk and never

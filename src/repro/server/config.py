@@ -34,11 +34,8 @@ class ServerConfig:
     #: Default worker fan-out for solves (``repro.parallel``): None
     #: defers to ``DPRLE_WORKERS``, 0 forces serial.
     workers: Optional[int] = None
-    #: Default automata backend for solves; None defers to
-    #: ``DPRLE_BACKEND``.
-    backend: Optional[str] = None
-    #: Default enumeration planner mode for solves.
-    plan: str = "off"
+    #: Run solves with the enumeration planner (``repro.solver.plan``).
+    plan: bool = False
     #: Max entries in the shared in-memory language cache.
     cache_entries: int = 4096
     #: How long the batcher waits after the first queued job for

@@ -93,37 +93,26 @@ def _query_field(payload: dict[str, Any]) -> Optional[list[str]]:
     return list(value)
 
 
-def _effective_knobs(
-    payload: dict[str, Any], config: ServerConfig
-) -> tuple[Optional[int], Optional[str], str]:
-    """(workers, backend, plan) after per-request overrides."""
+def _workers(payload: dict[str, Any], config: ServerConfig) -> Optional[int]:
+    """The worker fan-out after the per-request override."""
     workers = _opt_int_field(payload, "workers")
-    if workers is None:
-        workers = config.workers
-    backend = _opt_str_field(payload, "backend")
-    if backend is None:
-        backend = config.backend
-    plan = _opt_str_field(payload, "plan")
-    if plan is None:
-        plan = config.plan
-    return workers, backend, plan
+    return config.workers if workers is None else workers
 
 
 def compat_key(
     kind: str, payload: dict[str, Any], config: ServerConfig
 ) -> CompatKey:
     """The batching key: jobs agreeing on it may share a batch."""
-    workers, backend, plan = _effective_knobs(payload, config)
-    return (kind, str(workers), str(backend), plan)
+    return (kind, str(_workers(payload, config)), str(config.plan))
 
 
 def _limits(
     payload: dict[str, Any], config: ServerConfig
 ) -> Optional[GciLimits]:
-    workers, backend, plan = _effective_knobs(payload, config)
-    if workers is None and backend is None and plan == "off":
+    workers = _workers(payload, config)
+    if workers is None and not config.plan:
         return None
-    return GciLimits(workers=workers, backend=backend, plan=plan)
+    return GciLimits(workers=workers, plan=config.plan)
 
 
 def run_job(

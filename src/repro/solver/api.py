@@ -45,8 +45,6 @@ class RegLangSolver:
         cache: Optional[CacheLimits] = None,
         workers: Optional[int] = None,
         precheck: bool = False,
-        backend: Optional[str] = None,
-        plan: Optional[str] = None,
     ):
         self.alphabet = alphabet
         # Default fan-out for solves (see repro.parallel): None defers
@@ -55,12 +53,6 @@ class RegLangSolver:
         # Opt-in sound pruning via the repro.check abstract domains
         # (solution-preserving; see docs/DIAGNOSTICS.md).
         self.precheck = precheck
-        # Automata kernel set for solves (see repro.automata.backend):
-        # None defers to GciLimits/use_backend/DPRLE_BACKEND.
-        self.backend = backend
-        # Enumeration planner mode (see repro.solver.plan): one of
-        # "off"/"equiv"/"beam"/"full"; None defers to GciLimits.
-        self.plan = plan
         self._constraints: list[Subset] = []
         self._vars: dict[str, Var] = {}
         self._consts: dict[str, Const] = {}
@@ -185,10 +177,6 @@ class RegLangSolver:
             limits = replace(limits or GciLimits(), workers=self.workers)
         if self.precheck and (limits is None or not limits.precheck):
             limits = replace(limits or GciLimits(), precheck=True)
-        if self.backend is not None and (limits is None or limits.backend is None):
-            limits = replace(limits or GciLimits(), backend=self.backend)
-        if self.plan is not None and (limits is None or limits.plan == "off"):
-            limits = replace(limits or GciLimits(), plan=self.plan)
         with self.cache.activate(), ExitStack() as stack:
             if journal is not None:
                 stack.enter_context(obs.journal_to(journal))

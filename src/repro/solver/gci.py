@@ -59,7 +59,6 @@ from typing import Any, Iterator, Optional
 
 from .. import obs
 from ..automata import ops
-from ..automata.dfa import minimize_nfa
 from ..automata.equivalence import equivalent, is_subset
 from ..automata.nfa import BridgeTag, Nfa
 from ..cache import CacheLimits, active_cache
@@ -80,7 +79,10 @@ class GciLimits:
     cap bounds work, not just output.  (With ``maximize=True`` a later
     combination can still grow past an earlier one, so the full space
     is consumed before the cap applies; ``prune_subsumed=False`` or
-    ``max_solutions=1`` always stream.)
+    ``max_solutions=1`` always stream.)  Pruning always drops
+    language-duplicate candidates first, so ``dedupe=False`` only
+    changes the streaming case: it keeps every structural candidate,
+    the raw stream the Sec. 3.5 counts are taken over.
 
     ``workers`` fans the bridge-combination space out across a process
     pool (:mod:`repro.parallel`): ``0`` forces serial, ``None`` defers
@@ -103,24 +105,12 @@ class GciLimits:
     is solution-preserving (see ``docs/DIAGNOSTICS.md``); counters
     ``check.pruned_nodes`` / ``check.proved_unsat`` record its effect.
 
-    ``backend`` names the automata kernel set
-    (:mod:`repro.automata.backend`) the solve runs under: ``None``
-    defers to whatever is already active (an enclosing
-    :func:`~repro.automata.backend.use_backend` block, else the
-    ``DPRLE_BACKEND`` environment variable, else ``"reference"``).
-    Worker processes re-install the same backend by name, so parallel
-    solves stay backend-consistent end to end.
-
-    ``plan`` selects the enumeration planner (:mod:`repro.solver.plan`):
-    ``"off"`` (default) walks the factored space as-is; ``"equiv"``
-    collapses signature-interchangeable bridge edges before stage 5;
-    ``"beam"`` builds the viability bitmask and schedules parallel
-    chunks best-first by exact predicted yield; ``"full"`` does both.
-    Every mode preserves the output stream exactly (same solutions,
-    same order) — the planner only removes work that is provably
-    redundant.  ``beam_width`` caps the number of chunks in flight for
-    a planned parallel solve with a ``max_solutions`` cap (``0`` sizes
-    the window from the predicted yield).
+    ``plan`` turns on the enumeration planner (:mod:`repro.solver.plan`):
+    it collapses signature-interchangeable bridge edges before stage 5,
+    builds the viability bitmask, and schedules parallel chunks
+    best-first by exact predicted yield.  The output stream is the same
+    either way (same solutions, same order) — the planner only removes
+    work that is provably redundant.
     """
 
     max_solutions: Optional[int] = None
@@ -129,14 +119,11 @@ class GciLimits:
     prune_subsumed: bool = True
     maximize: bool = True
     max_maximize_rounds: int = 3
-    minimize_leaves: bool = False
     cache: Optional[CacheLimits] = None
     workers: Optional[int] = None
     min_parallel_combinations: int = 64
     precheck: bool = False
-    backend: Optional[str] = None
-    plan: str = "off"
-    beam_width: int = 0
+    plan: bool = False
 
 
 @dataclass
@@ -249,7 +236,7 @@ class _PreparedGroup:
 
     ``plan`` is the enumeration planner's verdict
     (:class:`repro.solver.plan.EnumerationPlan`, ``None`` when
-    ``GciLimits.plan`` is ``"off"``).  Planning may collapse
+    ``GciLimits.plan`` is off).  Planning may collapse
     ``edges_by_tag`` further (one representative per signature class),
     so the canonical index space actually walked is
     :attr:`index_space`, and :attr:`enumeration_space` is the survivor
@@ -344,7 +331,7 @@ def _iter_candidates(
     if start >= stop:
         return
     plan = prepared.plan
-    if plan is not None and plan.mask is not None:
+    if plan is not None:
         # Planned walk: only the viability-mask survivors, by index.
         indices: Any = plan.iter_survivors(start, stop)
         digits = None
@@ -446,21 +433,19 @@ def _consume(
 ) -> Iterator[dict[Node, Nfa]]:
     """The stage-5 consumer: dedupe, subsumption, caps.
 
-    Three regimes, all reading the same producer stream:
+    Two regimes, both reading the same producer stream:
 
     * ``prune_subsumed=False`` or ``max_solutions == 1`` — stream
       candidates straight through (the paper's Sec. 3.5 first-solution
-      behaviour).
-    * pruning with ``dedupe=False`` — the legacy collect-everything
-      pairwise scan; mutually-equal candidates subsume each other, a
-      corner the frontier below cannot reproduce.
-    * pruning with dedupe (the default) — an online *maximal frontier*:
-      a candidate subsumed by an incumbent is dropped on arrival,
-      incumbents subsumed by a new candidate leave the frontier, and —
-      when ``maximize`` is off, so candidate languages are bounded by
-      their slices — the enumeration stops early once the first
-      ``max_solutions`` frontier members are provably unsubsumable by
-      any future combination (:func:`_member_is_safe`).
+      behaviour), language-deduplicated unless ``dedupe=False``.
+    * pruning (the default) — deduplicated whatever ``dedupe`` says,
+      then an online *maximal frontier*: a candidate subsumed by an
+      incumbent is dropped on arrival, incumbents subsumed by a new
+      candidate leave the frontier, and — when ``maximize`` is off, so
+      candidate languages are bounded by their slices — the
+      enumeration stops early once the first ``max_solutions`` frontier
+      members are provably unsubsumable by any future combination
+      (:func:`_member_is_safe`).
 
     The frontier's final content equals the survivors of the full
     pairwise scan (domination is transitive, and dedupe guarantees no
@@ -481,22 +466,6 @@ def _consume(
                 yielded += 1
                 if cap is not None and yielded >= cap:
                     return
-            return
-
-        if not limits.dedupe:
-            collected = [solution for _, _, solution in candidates]
-            keep: list[dict[Node, Nfa]] = []
-            for idx, solution in enumerate(collected):
-                subsumed = False
-                for jdx, other in enumerate(collected):
-                    if idx == jdx:
-                        continue
-                    if _pointwise_subset(solution, other):
-                        subsumed = True
-                        break
-                if not subsumed:
-                    keep.append(solution)
-            yield from keep[:cap] if cap is not None else keep
             return
 
         frontier: list[tuple[int, Any, dict[Node, Nfa]]] = []
@@ -671,9 +640,6 @@ def _prepare_group(
             # the cache happened to see first.
             base, _ = ops.product(base, const_machine(const_node))
             base = base.trim()
-        if limits.minimize_leaves:
-            # dprle-lint: disable=L002 -- deliberate opt-in: collapsing leaf structure BEFORE any bridge tag exists is sound; the flag defaults off
-            base = minimize_nfa(base)
         machines[leaf] = base
 
     # -- Stage 2: temp machines bottom-up; every concatenation gets a
@@ -786,10 +752,9 @@ def _prepare_group(
         slice_memo=slice_memo,
         pair_memo=pair_memo,
     )
-    if limits.plan != "off":
-        from .plan import build_plan
+    from .plan import build_plan
 
-        prepared.plan = build_plan(prepared, limits)
+    prepared.plan = build_plan(prepared, limits)
     return prepared
 
 

@@ -42,10 +42,8 @@ canonical index ranges feed the best-first chunk scheduling in
 :mod:`repro.parallel` and the :class:`repro.check.cost.YieldModel`
 marginal-rate predictor recorded in the planner telemetry.
 
-Modes (``GciLimits.plan`` / ``--plan``): ``"off"`` (default, planner
-never runs), ``"equiv"`` (class collapse only), ``"beam"`` (viability
-mask + yield-ordered chunk scheduling only), ``"full"`` (both).
-See ``docs/PLANNER.md``.
+The planner runs when ``GciLimits.plan`` (``--plan``) is on; it is off
+by default.  See ``docs/PLANNER.md``.
 """
 
 from __future__ import annotations
@@ -66,10 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: keep the top machine's own starts/finals.
 Edge = Optional[tuple[int, int]]
 
-__all__ = ["PLAN_MODES", "EnumerationPlan", "build_plan"]
-
-#: Recognised ``GciLimits.plan`` values.
-PLAN_MODES = ("off", "equiv", "beam", "full")
+__all__ = ["EnumerationPlan", "build_plan"]
 
 
 @dataclass
@@ -79,26 +74,21 @@ class EnumerationPlan:
     ``space`` is the collapsed index space (the product of the per-tag
     edge-list lengths after class collapse); ``mask`` is the viability
     bitmask over that space (bit ``i`` set ⇔ combination ``i`` may be
-    viable), or ``None`` when the mode skips mask building.
-    ``survivors`` is ``popcount(mask)`` (``space`` when there is no
-    mask).  ``class_sizes`` records, per tag, the size of the class
-    each kept representative stands for (all 1 when nothing collapsed).
+    viable), and ``survivors`` is its popcount.  ``class_sizes``
+    records, per tag, the size of the class each kept representative
+    stands for (all 1 when nothing collapsed).
     """
 
-    mode: str
     space: int
     pruned_equiv: int
     pruned_plan: int
     survivors: int
-    mask: Optional[int]
+    mask: int
     class_sizes: dict[BridgeTag, list[int]] = field(default_factory=dict)
     yield_model: Optional[YieldModel] = None
 
     def iter_survivors(self, start: int, stop: int) -> Iterator[int]:
         """Canonical indices of surviving combinations in [start, stop)."""
-        if self.mask is None:
-            yield from range(start, stop)
-            return
         window = (self.mask >> start) & ((1 << (stop - start)) - 1)
         while window:
             low = window & -window
@@ -107,8 +97,6 @@ class EnumerationPlan:
 
     def count_survivors(self, start: int, stop: int) -> int:
         """Exact survivor count in [start, stop) (a popcount)."""
-        if self.mask is None:
-            return max(0, stop - start)
         window = (self.mask >> start) & ((1 << (stop - start)) - 1)
         return window.bit_count()
 
@@ -119,37 +107,22 @@ def build_plan(
     """Plan the enumeration of ``prepared``; collapses its edge lists
     in place (the same contract as the stage-4.5 factoring).
 
-    Returns ``None`` for ``plan="off"``.  Raises ``ValueError`` on an
-    unknown mode — a typo must fail loudly, not silently disable the
-    planner someone asked for.
+    Returns ``None`` when ``limits.plan`` is off.
     """
-    mode = limits.plan
-    if mode == "off":
+    if not limits.plan:
         return None
-    if mode not in PLAN_MODES:
-        raise ValueError(
-            f"unknown plan mode {mode!r} (expected one of {', '.join(PLAN_MODES)})"
-        )
     base_space = prepared.factored_combinations
-    with obs.span("gci_plan", mode=mode, base_space=base_space) as sp:
-        class_sizes: dict[BridgeTag, list[int]] = {}
-        if mode in ("equiv", "full"):
-            class_sizes = _collapse_classes(prepared, limits)
+    with obs.span("gci_plan", base_space=base_space) as sp:
+        class_sizes = _collapse_classes(prepared, limits)
+        radices = [len(prepared.edges_by_tag[tag]) for tag in prepared.tag_order]
         space = 1
-        for tag in prepared.tag_order:
-            space *= len(prepared.edges_by_tag[tag])
+        for radix in radices:
+            space *= radix
         pruned_equiv = base_space - space
 
-        mask: Optional[int] = None
-        survivors = space
-        yield_model: Optional[YieldModel] = None
-        if mode in ("beam", "full"):
-            mask = _viability_mask(prepared)
-            survivors = mask.bit_count()
-            radices = [
-                len(prepared.edges_by_tag[tag]) for tag in prepared.tag_order
-            ]
-            yield_model = YieldModel.from_mask(radices, mask)
+        mask = _viability_mask(prepared)
+        survivors = mask.bit_count()
+        yield_model = YieldModel.from_mask(radices, mask)
         pruned_plan = space - survivors
 
         sp.set("space", space)
@@ -157,7 +130,6 @@ def build_plan(
         sp.set("pruned_plan", pruned_plan)
         sp.set("survivors", survivors)
     return EnumerationPlan(
-        mode=mode,
         space=space,
         pruned_equiv=pruned_equiv,
         pruned_plan=pruned_plan,

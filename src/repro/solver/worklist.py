@@ -26,8 +26,6 @@ from typing import Optional
 
 from .. import obs
 from ..automata import ops
-from ..automata.backend import active_backend, use_backend
-from ..automata.dfa import minimize_nfa
 from ..automata.equivalence import is_subset
 from ..automata.nfa import Nfa
 from ..cache import LangCache, active_cache
@@ -90,19 +88,14 @@ def solve_graph(
     When ``limits.cache`` requests a language cache and none is active
     yet, one is activated for the duration of this solve (solver-scoped
     memoization of determinize/minimize/intersect/inclusion work).
-    ``limits.backend`` likewise installs the named automata backend for
-    the duration of the solve (``None`` keeps whatever is active).
     """
     limits = limits or GciLimits()
-    with use_backend(limits.backend):
-        if limits.cache is not None and active_cache() is None:
-            with LangCache(limits.cache).activate():
-                return _solve_graph(
-                    graph, variable_names, query, max_solutions, limits, only
-                )
-        return _solve_graph(
-            graph, variable_names, query, max_solutions, limits, only
-        )
+    if limits.cache is not None and active_cache() is None:
+        with LangCache(limits.cache).activate():
+            return _solve_graph(
+                graph, variable_names, query, max_solutions, limits, only
+            )
+    return _solve_graph(graph, variable_names, query, max_solutions, limits, only)
 
 
 def _solve_graph(
@@ -117,10 +110,7 @@ def _solve_graph(
     wanted: Optional[set[str]] = set(only) if only is not None else None
 
     with obs.span(
-        "solve",
-        variables=len(variable_names),
-        backend=active_backend().name,
-        plan=limits.plan,
+        "solve", variables=len(variable_names), plan=limits.plan
     ) as solve_span:
         # -- Constant-to-constant constraints are pure checks: a violated
         # one makes the whole system unsatisfiable regardless of variables.
@@ -164,8 +154,6 @@ def _solve_graph(
                     machine = ops.intersect(
                         machine, graph.machine(const_node)
                     ).trim()
-                if limits.minimize_leaves and not machine.is_empty():
-                    machine = minimize_nfa(machine)
                 base[node.name] = machine
 
         # -- Stage 2: eliminate CI-groups via the worklist (lines 9-23).

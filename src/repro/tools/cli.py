@@ -31,8 +31,8 @@ equivalent.  Three subcommands:
 
 ``solve``, ``check``, ``analyze``, and ``graph`` all take the same
 observability flags (``--stats-json``, ``--trace``, ``--journal``,
-cache and worker knobs, and ``--backend`` to pick the automata kernel
-set — see ``docs/BACKENDS.md``) — see :func:`_add_observability_flags`.
+cache and worker knobs, and ``--plan`` for the enumeration planner —
+see ``docs/PLANNER.md``) — see :func:`_add_observability_flags`.
 
 Examples::
 
@@ -59,11 +59,9 @@ from .. import obs
 from ..analysis.analyzer import analyze_source
 from ..analysis.attacks import ALL_ATTACKS, CONTAINS_QUOTE
 from ..analysis.corpus import build_corpus
-from ..automata.backend import available_backends, use_backend
 from ..cache import CacheLimits, LangCache
 from ..constraints.dsl import DslError, parse_problem
 from ..solver.gci import GciLimits
-from ..solver.plan import PLAN_MODES
 from ..solver.worklist import solve
 
 __all__ = ["main"]
@@ -99,21 +97,10 @@ def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
         "default honours the DPRLE_WORKERS environment variable",
     )
     subparser.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="automata kernel set (docs/BACKENDS.md); default honours "
-        "the DPRLE_BACKEND environment variable, else 'reference'",
-    )
-    subparser.add_argument(
-        "--plan", choices=PLAN_MODES, default="off",
-        help="GCI enumeration planner (docs/PLANNER.md): 'equiv' "
-        "collapses signature-interchangeable bridge edges, 'beam' "
-        "prunes and schedules by the viability mask, 'full' does both "
-        "(default %(default)s; output is identical in every mode)",
-    )
-    subparser.add_argument(
-        "--beam-width", type=int, default=0, metavar="N",
-        help="max chunks in flight for a planned parallel solve with "
-        "--max-solutions (0 sizes the window from predicted yield)",
+        "--plan", action="store_true",
+        help="run the GCI enumeration planner (docs/PLANNER.md): "
+        "collapse signature-interchangeable bridge edges and skip "
+        "provably non-viable combinations (output is identical)",
     )
 
 
@@ -121,16 +108,9 @@ def _cli_limits(args: argparse.Namespace) -> Optional[GciLimits]:
     """GCI limits from CLI flags; None when every flag is at its
     default (so library defaults — including DPRLE_WORKERS — apply)."""
     precheck = bool(getattr(args, "precheck", False))
-    plan = getattr(args, "plan", "off")
-    beam_width = int(getattr(args, "beam_width", 0))
-    if args.workers is None and not precheck and plan == "off" and not beam_width:
+    if args.workers is None and not precheck and not args.plan:
         return None
-    return GciLimits(
-        workers=args.workers,
-        precheck=precheck,
-        plan=plan,
-        beam_width=beam_width,
-    )
+    return GciLimits(workers=args.workers, precheck=precheck, plan=args.plan)
 
 
 def _run_observed(args: argparse.Namespace, run) -> int:
@@ -146,7 +126,7 @@ def _run_observed(args: argparse.Namespace, run) -> int:
     )
     want_collect = args.stats_json is not None or args.trace
     if not want_collect and args.journal is None:
-        with use_backend(args.backend), cache.activate():
+        with cache.activate():
             return run()
     collector = None
     with ExitStack() as stack:
@@ -161,7 +141,6 @@ def _run_observed(args: argparse.Namespace, run) -> int:
                 return 2
         if want_collect:
             collector = stack.enter_context(obs.collect())
-        stack.enter_context(use_backend(args.backend))
         stack.enter_context(cache.activate())
         code = run()
     if args.journal is not None:
@@ -310,12 +289,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "0 forces serial, default honours DPRLE_WORKERS",
     )
     serve_cmd.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="default automata kernel set for solves (docs/BACKENDS.md)",
-    )
-    serve_cmd.add_argument(
-        "--plan", choices=PLAN_MODES, default="off",
-        help="default enumeration planner mode (docs/PLANNER.md)",
+        "--plan", action="store_true",
+        help="run solves with the enumeration planner (docs/PLANNER.md)",
     )
     serve_cmd.add_argument(
         "--cache-entries", type=int, default=4096, metavar="N",
@@ -686,7 +661,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             port=args.port,
             cache_db=args.cache_db,
             workers=args.workers,
-            backend=args.backend,
             plan=args.plan,
             cache_entries=args.cache_entries,
             batch_window=max(args.batch_window_ms, 0.0) / 1000.0,

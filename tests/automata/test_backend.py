@@ -5,7 +5,7 @@ reference kernels (see docs/BACKENDS.md): determinize and product are
 pinned structure-identical (same states, numbering, edges, bridge
 tags, provenance), minimize language-equal with the same minimal state
 count, and the predicates bit-for-bit equal.  Selection resolves
-``use_backend`` > ``DPRLE_BACKEND`` > reference.
+``use_backend`` > bitset.
 """
 
 import pytest
@@ -13,12 +13,9 @@ from hypothesis import given, settings
 
 from repro.automata import serialize
 from repro.automata.backend import (
-    BACKEND_ENV,
     ReferenceBackend,
     active_backend,
-    available_backends,
     get_backend,
-    register_backend,
     use_backend,
 )
 from repro.automata.bitset import BitsetBackend
@@ -35,13 +32,10 @@ BITSET = BitsetBackend()
 
 
 class TestSelection:
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert active_backend().name == "reference"
-
-    def test_registry_lists_both(self):
-        names = available_backends()
-        assert "reference" in names and "bitset" in names
+    def test_default_is_bitset(self, monkeypatch):
+        # No environment variable selects a backend.
+        monkeypatch.setenv("DPRLE_BACKEND", "reference")
+        assert active_backend().name == "bitset"
 
     def test_get_backend_unknown_name(self):
         with pytest.raises(ValueError, match="unknown automata backend"):
@@ -49,6 +43,7 @@ class TestSelection:
 
     def test_get_backend_is_memoized(self):
         assert get_backend("bitset") is get_backend("bitset")
+        assert get_backend("reference") is get_backend("reference")
 
     def test_use_backend_scopes_and_restores(self):
         before = active_backend().name
@@ -68,24 +63,6 @@ class TestSelection:
         with use_backend("bitset"):
             with use_backend(None):
                 assert active_backend().name == "bitset"
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "bitset")
-        assert active_backend().name == "bitset"
-
-    def test_env_var_bad_value_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "typo")
-        with pytest.raises(ValueError, match="typo"):
-            active_backend()
-
-    def test_explicit_scope_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "bitset")
-        with use_backend("reference"):
-            assert active_backend().name == "reference"
-
-    def test_register_backend_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("reference", ReferenceBackend)
 
 
 def _sample_machines() -> list[Nfa]:
@@ -145,6 +122,15 @@ class TestKernelEquivalence:
         broken.transitions[broken.start] = broken.transitions[broken.start][:1]
         with pytest.raises(ValueError, match="incomplete DFA"):
             BITSET.minimize_dfa(broken)
+
+    def test_left_quotient_prefix_outside_alphabet(self):
+        # "c" is not in AB: the complete DFA has no move on it, so no
+        # prefix string reaches a seed and the quotient is empty.
+        prefixes = Nfa.literal("c", AB)
+        target = Nfa.literal("ab", AB)
+        ref = REFERENCE.left_quotient(prefixes, target)
+        bit = BITSET.left_quotient(prefixes, target)
+        assert ref.is_empty() and bit.is_empty()
 
     @settings(max_examples=40, deadline=None)
     @given(machines(max_depth=2), machines(max_depth=2))

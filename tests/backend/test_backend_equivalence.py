@@ -7,7 +7,8 @@ pinned structure-identical) the same serial ``visit_states`` and
 operation counters.  These tests pin that end-to-end on the paper's
 fixtures, on randomized RMA systems, under adversarially warmed
 caches, and across the multiprocess worker pool (workers re-install
-the parent's backend by name).
+the parent's backend by name).  Bitset is the production default, so
+the unscoped solver paths are pinned against the reference too.
 """
 
 import pathlib
@@ -113,21 +114,23 @@ def test_adversarially_warmed_cache_identical(backend):
     assert_same_solutions(reference, warmed)
 
 
-def test_limits_backend_field_selects_bitset():
+def test_default_solve_matches_reference():
     problem = parse_problem((DATA / "motivating.dprle").read_text())
-    reference = solve(problem, limits=_limits(0))
-    candidate = solve(problem, limits=_limits(0, backend="bitset"))
+    with use_backend("reference"):
+        reference = solve(problem, limits=_limits(0))
+    candidate = solve(problem, limits=_limits(0))
     assert_same_solutions(reference, candidate)
 
 
-def test_solver_backend_kwarg_selects_bitset():
-    def build(backend):
-        solver = RegLangSolver(alphabet=AB, backend=backend)
+def test_solver_default_matches_reference():
+    def solve_motivating():
+        solver = RegLangSolver(alphabet=AB)
         solver.add_dsl((DATA / "motivating.dprle").read_text())
-        return solver
+        return solver.solve(limits=_limits(0))
 
-    reference = build(None).solve(limits=_limits(0))
-    candidate = build("bitset").solve(limits=_limits(0))
+    with use_backend("reference"):
+        reference = solve_motivating()
+    candidate = solve_motivating()
     assert_same_solutions(reference, candidate)
 
 

@@ -100,7 +100,7 @@ class TestCacheIdentity:
     def test_gci_stage1_is_marked_and_clean(self):
         report = run_lint(["src/repro/solver/gci.py"], select=["L002"])
         assert report.findings == [], report.render()
-        assert report.suppressed >= 1  # the minimize_leaves opt-in
+        assert report.suppressed == 0
 
 
 class TestForkSafety:
@@ -228,8 +228,7 @@ class TestRegistry:
             get_rule("no-such-rule")
 
     def test_plugin_registration_shape(self):
-        # Same shape as automata.backend.register_backend: register,
-        # resolve by name, last registration wins.
+        # Register, resolve by name, last registration wins.
         from repro.lint import Rule, register_rule
 
         def check(_ctx):

@@ -1,11 +1,10 @@
-"""Unit tests for the observability layer (:mod:`repro.obs`) and the
-legacy :mod:`repro.stats` shim over it."""
+"""Unit tests for the observability layer (:mod:`repro.obs`)."""
 
 import json
 
 import pytest
 
-from repro import obs, stats
+from repro import obs
 from repro.solver import concat_intersect
 from repro.solver.worklist import solve
 from repro.constraints import parse_problem
@@ -196,16 +195,16 @@ class TestJsonExport:
 
 
 class TestScoping:
-    def test_collect_and_measure_stack(self):
-        with stats.measure() as tracker:
-            with obs.collect() as collector:
+    def test_outer_collector_outlives_inner(self):
+        with obs.collect() as outer:
+            with obs.collect() as inner:
                 concat_intersect(machine("a"), machine("b"), machine("ab"))
-            trailing = tracker.states_visited
-            assert collector.states_visited == trailing > 0
-            # Work after the collector closes still hits the tracker.
+            trailing = outer.states_visited
+            assert inner.states_visited == trailing > 0
+            # Work after the inner collector closes still hits the outer.
             concat_intersect(machine("a"), machine("b"), machine("ab"))
-            assert tracker.states_visited > trailing
-            assert collector.states_visited == trailing
+            assert outer.states_visited > trailing
+            assert inner.states_visited == trailing
 
     def test_nested_collectors_both_record(self):
         with obs.collect() as outer:
@@ -222,23 +221,3 @@ class TestScoping:
             assert obs.current_collector() is outer
         assert obs.current_collector() is None
 
-
-class TestLegacyShim:
-    def test_solver_namespace_reexport(self):
-        from repro.solver import stats as solver_stats
-
-        with solver_stats.measure() as cost:
-            concat_intersect(machine("a*"), machine("b"), machine("a*b"))
-        assert cost.states_visited > 0
-        assert cost.operations.get("product", 0) >= 1
-
-    def test_tracker_sees_what_collector_sees(self):
-        with stats.measure() as tracker, obs.collect() as collector:
-            concat_intersect(machine("a"), machine("b"), machine("ab"))
-        assert tracker.states_visited == collector.states_visited
-        ops_total = {
-            name[len("op."):]: value
-            for name, value in collector.metrics.snapshot()["counters"].items()
-            if name.startswith("op.")
-        }
-        assert tracker.operations == ops_total

@@ -43,7 +43,7 @@ def wider_parallel():
         "wider.dprle",
         workers=2,
         min_parallel_combinations=1,
-        plan="full",
+        plan=True,
         precheck=True,
     )
 

@@ -2,14 +2,14 @@
 
 Each worker task runs under its own collector and ships the snapshot
 home; the parent absorbs it into every active sink, so ``--stats-json``
-totals, ``stats.measure()`` trackers, and span traces account for work
+totals, nested collectors, and span traces account for work
 no matter which process did it.
 """
 
 import json
 import pathlib
 
-from repro import obs, stats
+from repro import obs
 from repro.constraints import parse_problem
 from repro.solver import solve
 from repro.solver.gci import GciLimits
@@ -77,16 +77,16 @@ def test_parallel_introspection_metrics_present():
     )
 
 
-def test_cost_tracker_includes_worker_work():
-    with stats.measure() as cost:
+def test_collector_includes_worker_work():
+    with obs.collect() as cost:
         solve(_wide(), limits=_limits(2))
     # The enumeration's slicing intersections run only in the workers
-    # for this fixture; seeing them in the tracker proves the worker
+    # for this fixture; seeing them in the collector proves the worker
     # snapshots were absorbed.  (No serial-vs-parallel magnitude
     # comparison: workers keep process-global warm caches, so a
     # parallel run legitimately does far less raw automaton work.)
     assert cost.states_visited > 0
-    assert cost.operations.get("intersect", 0) > 0
+    assert cost.metrics.snapshot()["counters"].get("op.intersect", 0) > 0
 
 
 def test_cli_stats_json_totals_include_worker_metrics(tmp_path, capsys):

@@ -91,6 +91,20 @@ class TestEndpoints:
         assert status == 200
         assert doc["result"]["count"] == 1
 
+    def test_plan_and_backend_fields_are_ignored(self, daemon):
+        # "plan" and "backend" are not request fields: the daemon picks
+        # both, and a value a client sends must not reach the solver.
+        text = (DATA / "fig9.dprle").read_text()
+        status, plain = daemon.request("POST", "/solve", {"source": text})
+        assert status == 200
+        status, doc = daemon.request(
+            "POST",
+            "/solve",
+            {"source": text, "plan": "bogus", "backend": "typo"},
+        )
+        assert status == 200
+        assert doc["result"] == plain["result"]
+
     def test_check_reports_diagnostics_schema(self, daemon):
         status, doc = daemon.request(
             "POST", "/check", {"source": SIMPLE_SOURCE}

@@ -1,13 +1,18 @@
 """Unit tests for the generalized CI procedure over CI-groups (Fig. 8)."""
 
+import pathlib
+
 import pytest
 
 from repro.automata import enumerate_strings, equivalent, is_subset, ops
-from repro.constraints import Node, Subset, Var, build_graph
+from repro.cache import LangCache
+from repro.constraints import Node, Subset, Var, build_graph, parse_problem
 from repro.constraints.terms import ConcatTerm, Const, Problem
-from repro.solver import GciLimits, solve_group
+from repro.solver import GciLimits, solve, solve_group
 
 from ..helpers import ABC, machine
+
+DATA = pathlib.Path(__file__).parent.parent / "data"
 
 
 def _const(name: str, pattern: str) -> Const:
@@ -231,20 +236,22 @@ class TestLimits:
                 )
                 assert not dominated
 
-    def test_minimize_leaves_same_languages(self):
-        plain = run_group(
-            Subset(Var("x"), _const("c1", "a*|a*")),
-            Subset(Var("x").concat(Var("y")), _const("c3", "a*b")),
-        )
-        minimized = run_group(
-            Subset(Var("x"), _const("c1", "a*|a*")),
-            Subset(Var("x").concat(Var("y")), _const("c3", "a*b")),
-            limits=GciLimits(minimize_leaves=True),
-        )
-        assert len(plain) == len(minimized)
-        for left, right in zip(plain, minimized):
-            for node in left:
-                assert equivalent(left[node], right[node])
+    def test_prune_without_dedupe_keeps_equal_candidates(self):
+        # wider.dprle enumerates language-equal candidates.  Pruning
+        # must keep one of each, not let equal candidates subsume each
+        # other away: dedupe=False changes nothing once pruning is on.
+        problem = parse_problem((DATA / "wider.dprle").read_text())
+        with LangCache().activate():
+            default = solve(problem, limits=GciLimits(workers=0))
+            loose = solve(
+                problem,
+                limits=GciLimits(dedupe=False, prune_subsumed=True, workers=0),
+            )
+        assert len(default) == 8
+        assert len(loose) == len(default)
+        for left, right in zip(default, loose):
+            for name in left.variables():
+                assert equivalent(left[name], right[name])
 
 
 class TestPruneTruncationRegression:

@@ -3,8 +3,8 @@
 ``repro.solver.plan`` prunes provably-redundant bridge combinations
 (signature-class collapse), masks non-viable ones (unary/binary
 viability constraints), and reorders *work* — never *output*.  These
-tests pin that: every plan mode produces the reference SolutionSet in
-the reference order at workers 0 and 4, under adversarially warmed
+tests pin that: ``plan=True`` produces the unplanned SolutionSet in
+the same order at workers 0 and 4, under adversarially warmed
 caches, and repeated planned runs are bit-for-bit deterministic in
 both solutions and the ``gci.combinations_*`` counter series.  The
 memo-reuse tests cover the stage-5 slice/pair memos the planner's
@@ -25,19 +25,22 @@ from repro.constraints import parse_problem
 from repro.solver import solve
 from repro.solver.api import RegLangSolver
 from repro.solver.gci import GciLimits
-from repro.solver.plan import PLAN_MODES, build_plan
+from repro.solver.plan import build_plan
 
 from ..helpers import AB
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
 #: Fixtures with a real combination space: wide (225, no signature
-#: symmetry — equiv must be a sound no-op) and wider (3249, heavy
-#: symmetry — equiv collapses 9/16 of the space), plus fig9's mutually
-#: dependent concatenations and the nested tower.
+#: symmetry — class collapse must be a sound no-op) and wider (3249,
+#: heavy symmetry — collapse removes 9/16 of the space), plus fig9's
+#: mutually dependent concatenations and the nested tower.
 FIXTURES = ["fig9.dprle", "nested.dprle", "wide.dprle", "wider.dprle"]
 
-PLANNED_MODES = [m for m in PLAN_MODES if m != "off"]
+#: The planner switch; ``full`` names the planner with all its passes
+#: (class collapse, viability mask, best-first chunk scheduling).
+PLANNED = [pytest.param(True, id="full")]
+BOTH = [pytest.param(False, id="off"), *PLANNED]
 
 
 def _limits(workers: int, **kwargs) -> GciLimits:
@@ -69,26 +72,26 @@ def _reference(fixture: str):
 
 
 @pytest.mark.parametrize("workers", [0, 4])
-@pytest.mark.parametrize("mode", PLANNED_MODES)
+@pytest.mark.parametrize("plan", PLANNED)
 @pytest.mark.parametrize("fixture", FIXTURES)
-def test_planned_solutions_identical(fixture, mode, workers):
-    candidate = _solve(fixture, workers=workers, plan=mode)
+def test_planned_solutions_identical(fixture, plan, workers):
+    candidate = _solve(fixture, workers=workers, plan=plan)
     assert_same_solutions(_reference(fixture), candidate)
 
 
 @pytest.mark.parametrize("workers", [0, 4])
-@pytest.mark.parametrize("mode", ["full", "beam"])
+@pytest.mark.parametrize("plan", PLANNED)
 @pytest.mark.parametrize("fixture", ["wide.dprle", "wider.dprle"])
-def test_planned_first_solution_identical(fixture, mode, workers):
+def test_planned_first_solution_identical(fixture, plan, workers):
     """max_solutions=1 is the case the planner optimizes; the solution
     must still be the reference's *first* solution, not just any one."""
     reference = _solve(fixture, workers=0, max_solutions=1)
-    candidate = _solve(fixture, workers=workers, max_solutions=1, plan=mode)
+    candidate = _solve(fixture, workers=workers, max_solutions=1, plan=plan)
     assert_same_solutions(reference, candidate)
 
 
-@pytest.mark.parametrize("mode", PLANNED_MODES)
-def test_adversarially_warmed_cache_identical(mode):
+@pytest.mark.parametrize("plan", PLANNED)
+def test_adversarially_warmed_cache_identical(plan):
     """Signature-class collapse consults the active cache; a cache
     warmed with unrelated (and related) machines must not perturb the
     solution set — class ids shift, languages do not."""
@@ -102,31 +105,22 @@ def test_adversarially_warmed_cache_identical(mode):
         cache.class_id(one)
         cache.class_id(Nfa.literal("b", AB))
     with cache.activate():
-        warmed = solve(problem, limits=_limits(0, plan=mode))
+        warmed = solve(problem, limits=_limits(0, plan=plan))
     assert_same_solutions(_reference("wider.dprle"), warmed)
 
 
-def test_beam_width_knob_preserves_solutions():
-    for width in (1, 2, 7):
-        candidate = _solve(
-            "wide.dprle", workers=4, plan="beam", beam_width=width
-        )
-        assert_same_solutions(_reference("wide.dprle"), candidate)
-
-
-def test_solver_plan_kwarg_selects_planner():
-    solver = RegLangSolver(plan="full")
+def test_solver_plan_limit_selects_planner():
+    solver = RegLangSolver()
     solver.add_dsl((DATA / "wide.dprle").read_text())
-    result = solver.solve(limits=_limits(0), collect_stats=True)
-    assert_same_solutions(_reference("wide.dprle"), result)
-    counters = result.stats.metrics.snapshot()["counters"]
+    unplanned = solver.solve(limits=_limits(0), collect_stats=True)
+    planned = solver.solve(limits=_limits(0, plan=True), collect_stats=True)
+    assert_same_solutions(_reference("wide.dprle"), planned)
+    # The planner is off by default and runs only when asked for.
+    assert "gci.combinations_pruned_plan" not in (
+        unplanned.stats.metrics.snapshot()["counters"]
+    )
+    counters = planned.stats.metrics.snapshot()["counters"]
     assert counters["gci.combinations_pruned_plan"] > 0
-
-
-def test_unknown_plan_mode_raises():
-    problem = parse_problem((DATA / "wide.dprle").read_text())
-    with pytest.raises(ValueError, match="plan"):
-        solve(problem, limits=_limits(0, plan="bogus"))
 
 
 # -- determinism and counter accounting --------------------------------------
@@ -141,12 +135,12 @@ def _counters(fixture: str, workers: int = 0, max_solutions=None, **kwargs):
     return result, collector.metrics.snapshot()["counters"]
 
 
-@pytest.mark.parametrize("mode", PLANNED_MODES)
+@pytest.mark.parametrize("plan", PLANNED)
 @pytest.mark.parametrize("fixture", ["wide.dprle", "wider.dprle"])
-def test_planned_runs_deterministic(fixture, mode):
+def test_planned_runs_deterministic(fixture, plan):
     """Repeated planned runs: same SolutionSet, same gci.* counters."""
-    first, counters_a = _counters(fixture, plan=mode)
-    second, counters_b = _counters(fixture, plan=mode)
+    first, counters_a = _counters(fixture, plan=plan)
+    second, counters_b = _counters(fixture, plan=plan)
     assert_same_solutions(first, second)
     gci_a = {k: v for k, v in counters_a.items() if k.startswith("gci.")}
     gci_b = {k: v for k, v in counters_b.items() if k.startswith("gci.")}
@@ -155,12 +149,12 @@ def test_planned_runs_deterministic(fixture, mode):
 
 
 @pytest.mark.parametrize("max_solutions", [None, 1])
-@pytest.mark.parametrize("mode", list(PLAN_MODES))
-def test_counter_accounting_identity(mode, max_solutions):
+@pytest.mark.parametrize("plan", BOTH)
+def test_counter_accounting_identity(plan, max_solutions):
     """total = factored + pruned_equiv + pruned_plan + enumerated + skipped
-    in every mode, capped or not (docs/PLANNER.md's ledger)."""
+    planned or not, capped or not (docs/PLANNER.md's ledger)."""
     _, counters = _counters(
-        "wider.dprle", plan=mode, max_solutions=max_solutions
+        "wider.dprle", plan=plan, max_solutions=max_solutions
     )
     total = counters["gci.combinations_total"]
     parts = sum(
@@ -173,8 +167,8 @@ def test_counter_accounting_identity(mode, max_solutions):
 def test_equiv_prunes_only_with_symmetry():
     """wide has no signature symmetry (classes are singletons); wider
     was built with four language-equal branches per bound."""
-    _, wide = _counters("wide.dprle", plan="equiv")
-    _, wider = _counters("wider.dprle", plan="equiv")
+    _, wide = _counters("wide.dprle", plan=True)
+    _, wider = _counters("wider.dprle", plan=True)
     assert wide.get("gci.combinations_pruned_equiv", 0) == 0
     assert wider["gci.combinations_pruned_equiv"] > 0
     # The collapse is per-tag 57 -> 15, so the pruned share is 1 - (15/57)^2.
@@ -183,10 +177,10 @@ def test_equiv_prunes_only_with_symmetry():
 
 @pytest.mark.parametrize("fixture", ["wide.dprle", "wider.dprle"])
 def test_plan_full_first_solution_enumeration_drop(fixture):
-    """The acceptance criterion: with max_solutions=1, plan=full must
-    enumerate >= 5x fewer combinations than plan=off."""
-    _, off = _counters(fixture, plan="off", max_solutions=1)
-    _, full = _counters(fixture, plan="full", max_solutions=1)
+    """With max_solutions=1 the planner must enumerate >= 5x fewer
+    combinations than the unplanned walk."""
+    _, off = _counters(fixture, plan=False, max_solutions=1)
+    _, full = _counters(fixture, plan=True, max_solutions=1)
     assert off["gci.combinations_enumerated"] >= 5 * full["gci.combinations_enumerated"]
 
 
@@ -208,8 +202,8 @@ def test_pair_memo_hit_rate_across_planner_stages():
     """The planner's viability mining computes every pairwise share
     intersection up front; enumeration then re-requests them, so with
     planning the pair memo must serve repeat lookups."""
-    _, off = _counters("wide.dprle", plan="off")
-    _, full = _counters("wide.dprle", plan="full")
+    _, off = _counters("wide.dprle", plan=False)
+    _, full = _counters("wide.dprle", plan=True)
     assert off["gci.pair_memo_hits"] > 0
     assert full["gci.pair_memo_hits"] > 0
     # Planning must not *recompute* pairs: distinct pair keys are the
@@ -239,9 +233,9 @@ def test_build_plan_off_returns_none():
     graph, _ = build_graph(problem)
     group = graph.ci_groups()[0]
     with LangCache().activate():
-        prepared = _prepare_group(graph, group, _limits(0, plan="off"))
+        prepared = _prepare_group(graph, group, _limits(0, plan=False))
         assert prepared.plan is None
-        assert build_plan(prepared, _limits(0, plan="off")) is None
+        assert build_plan(prepared, _limits(0, plan=False)) is None
 
 
 def test_plan_survivor_windows_sum_to_survivors():
@@ -252,9 +246,9 @@ def test_plan_survivor_windows_sum_to_survivors():
     graph, _ = build_graph(problem)
     group = graph.ci_groups()[0]
     with LangCache().activate():
-        prepared = _prepare_group(graph, group, _limits(0, plan="full"))
+        prepared = _prepare_group(graph, group, _limits(0, plan=True))
     plan = prepared.plan
-    assert plan is not None and plan.mask is not None
+    assert plan is not None
     space = prepared.index_space
     step = 13
     total = sum(

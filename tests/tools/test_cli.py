@@ -52,6 +52,18 @@ class TestSolve:
         assert main(["solve", str(path), "--max-solutions", "2"]) == 0
         assert "2 assignment(s)" in capsys.readouterr().out
 
+    def test_plan_flag_runs_planner(self, tmp_path, capsys):
+        wide = pathlib.Path(__file__).parent.parent / "data" / "wide.dprle"
+        out = tmp_path / "stats.json"
+        code = main([
+            "solve", str(wide), "--plan", "--max-solutions", "1",
+            "--workers", "0", "--stats-json", str(out),
+        ])
+        assert code == 0
+        counters = json.loads(out.read_text())["metrics"]["counters"]
+        assert counters["gci.combinations_pruned_plan"] > 0
+        assert counters["gci.combinations_enumerated"] == 1
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.dprle")]) == 2
         assert "cannot read" in capsys.readouterr().err
