@@ -11,6 +11,7 @@ partition of the alphabet universe.
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import Iterable, Optional
 
 from .. import obs
@@ -18,7 +19,7 @@ from ..cache import active_cache
 from .alphabet import Alphabet
 from .backend import active_backend
 from .charset import CharSet, minterms
-from .nfa import Nfa
+from .nfa import Nfa, _Frozen
 
 __all__ = ["Dfa", "determinize", "complement", "minimize_dfa", "minimize_nfa"]
 
@@ -27,8 +28,13 @@ class Dfa:
     """A complete deterministic automaton over a symbolic alphabet.
 
     ``transitions[q]`` is a list of ``(label, dst)`` pairs whose labels
-    partition ``alphabet.universe``.
+    partition ``alphabet.universe``.  Like :class:`Nfa`, a DFA is
+    mutable until :meth:`freeze`, after which its transitions are a
+    read-only mapping of tuples and every write raises; :meth:`copy`
+    always returns a mutable machine.
     """
+
+    frozen = False
 
     def __init__(
         self,
@@ -41,6 +47,25 @@ class Dfa:
         self.transitions = transitions
         self.start = start
         self.finals = finals
+
+    def freeze(self) -> None:
+        """Make this DFA immutable, in place (idempotent)."""
+        self.__dict__.update(
+            transitions=MappingProxyType(
+                {state: tuple(moves) for state, moves in self.transitions.items()}
+            ),
+            finals=frozenset(self.finals),
+        )
+        self.__class__ = _FrozenDfa
+
+    def copy(self) -> "Dfa":
+        """A mutable copy sharing only immutable pieces (labels, ids)."""
+        return Dfa(
+            self.alphabet,
+            {state: list(moves) for state, moves in self.transitions.items()},
+            self.start,
+            set(self.finals),
+        )
 
     @property
     def num_states(self) -> int:
@@ -84,16 +109,10 @@ class Dfa:
         return state in self.finals
 
     def complemented(self) -> "Dfa":
-        """Same machine with final and non-final states swapped.
-
-        The per-state move lists are copied, not shared: the complement
-        must stay independent of later in-place edits to either machine.
-        """
-        finals = set(self.transitions) - self.finals
-        transitions = {
-            state: list(moves) for state, moves in self.transitions.items()
-        }
-        return Dfa(self.alphabet, transitions, self.start, finals)
+        """A mutable copy with final and non-final states swapped."""
+        clone = self.copy()
+        clone.finals = set(self.transitions) - self.finals
+        return clone
 
     def is_empty(self) -> bool:
         seen = {self.start}
@@ -121,6 +140,10 @@ class Dfa:
 
     def __repr__(self) -> str:
         return f"<Dfa states={self.num_states} finals={len(self.finals)}>"
+
+
+class _FrozenDfa(_Frozen, Dfa):
+    pass
 
 
 def determinize(nfa: Nfa) -> Dfa:

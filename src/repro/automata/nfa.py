@@ -20,10 +20,14 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import Optional, Sequence
 
 from .alphabet import BYTE_ALPHABET, Alphabet
 from .charset import CharSet
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from .dfa import Dfa
 
 __all__ = ["Edge", "Nfa", "BridgeTag"]
 
@@ -68,13 +72,24 @@ class Edge(NamedTuple):
 
 
 class Nfa:
-    """A mutable ε-NFA over a symbolic alphabet.
+    """An ε-NFA over a symbolic alphabet, mutable until :meth:`freeze`.
 
     States are small integers allocated by :meth:`add_state`.  The
     machine keeps explicit *sets* of start and final states; the
     single-start/single-final normal form the paper assumes is
     available via :meth:`normalized`.
+
+    :meth:`freeze` makes the machine an immutable value in place (every
+    mutator then raises ``TypeError``), and :mod:`repro.cache` memoizes
+    its structural digest, signature and DFA in the ``_digest``, ``_sig``
+    and ``_dfa`` slots: pure functions of the machine, valid in every
+    cache.  :meth:`copy` always returns a mutable machine.
     """
+
+    frozen = False
+    _digest: Optional[str]
+    _sig: Optional[str]
+    _dfa: Optional["Dfa"]
 
     def __init__(self, alphabet: Alphabet = BYTE_ALPHABET):
         self.alphabet = alphabet
@@ -193,7 +208,7 @@ class Nfa:
     def num_transitions(self) -> int:
         return sum(len(edges) for edges in self._edges.values())
 
-    def out_edges(self, state: int) -> list[Edge]:
+    def out_edges(self, state: int) -> Sequence[Edge]:
         return self._edges[state]
 
     def edges(self) -> Iterator[tuple[int, Edge]]:
@@ -291,8 +306,21 @@ class Nfa:
 
     # -- transformation ---------------------------------------------------
 
+    def freeze(self) -> None:
+        """Make this machine immutable, in place (idempotent).  The class
+        swap keeps per-write checks off the builder path."""
+        self.__dict__.update(
+            starts=frozenset(self.starts),
+            finals=frozenset(self.finals),
+            _edges={state: tuple(out) for state, out in self._edges.items()},
+            _digest=None,
+            _sig=None,
+            _dfa=None,
+        )
+        self.__class__ = _FrozenNfa
+
     def copy(self) -> "Nfa":
-        """A deep structural copy preserving state ids."""
+        """A mutable deep structural copy preserving state ids."""
         clone = Nfa(self.alphabet)
         clone._next_state = self._next_state
         clone.starts = set(self.starts)
@@ -331,7 +359,7 @@ class Nfa:
                 if edge.dst in live and state in live
             ]
         clone.starts = set(self.starts)
-        clone.finals = self.finals & live
+        clone.finals = live & self.finals  # a set even when self is frozen
         return clone
 
     def renumbered(self) -> tuple["Nfa", dict[int, int]]:
@@ -402,3 +430,30 @@ class Nfa:
             f"<Nfa states={self.num_states} transitions={self.num_transitions} "
             f"starts={sorted(self.starts)} finals={sorted(self.finals)}>"
         )
+
+
+class _Frozen:
+    """Mixin for a machine after ``freeze()``: every write raises, except
+    to the memo slots the language cache fills."""
+
+    frozen = True
+    _MEMO_SLOTS: frozenset[str] = frozenset()
+
+    def freeze(self) -> None:
+        return None
+
+    def _refuse(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("a frozen machine is immutable; copy() it to edit")
+
+    __delattr__ = _refuse
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name not in self._MEMO_SLOTS:
+            self._refuse()
+        object.__setattr__(self, name, value)
+
+
+class _FrozenNfa(_Frozen, Nfa):
+    _MEMO_SLOTS = frozenset({"_digest", "_sig", "_dfa"})
+    add_state = add_states = _Frozen._refuse  # type: ignore[assignment]
+    add_transition = add_epsilon = add_char = set_start = set_final = _Frozen._refuse

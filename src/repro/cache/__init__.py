@@ -6,70 +6,45 @@ Galois maximization — keep redoing language-level work on machines
 whose languages were computed moments earlier.  This module provides a
 *solver-scoped* memoization layer over those operations, in the spirit
 of the aggressive canonical-form memoization that makes derivative-
-style procedures tractable.
+style procedures tractable.  ``docs/CACHING.md`` has the full key table
+and the caveats.
 
 Two-tier keying:
 
 * **Structural digest** (:meth:`LangCache.struct_key`) — a cheap
   ``O(edges)`` canonical serialization of an NFA as-is (states densely
-  renumbered, edges sorted, charset labels serialized by their interval
-  ranges, bridge tags ignored).  Structurally identical machines — the
-  common case for the per-combination slices the GCI enumeration mints
-  — share it without any automata construction.
-* **Language signature** (:meth:`LangCache.signature`) — the structural
-  digest of the machine's Hopcroft-minimized DFA, renumbered by BFS
-  order from the start state with successors visited in canonical
-  label order.  The minimal complete DFA is unique up to isomorphism
-  and the BFS renumbering picks a canonical representative, so **two
-  machines have equal signatures iff their languages are equal**.
-  Signatures embed the alphabet universe, so results can never be
-  confused across alphabets.
+  renumbered, edges sorted, labels by interval ranges, bridge tags
+  ignored).  Structurally identical machines — the common case for the
+  per-combination slices the GCI enumeration mints — share it.
+* **Language signature** (:meth:`LangCache.signature`) — the digest of
+  the machine's minimal complete DFA, renumbered by BFS order with
+  successors in canonical label order, so **two machines have equal
+  signatures iff their languages are equal**.  Signatures embed the
+  alphabet universe.
 
-Operation results are memoized under language signatures (signature
-computation itself is memoized per object and per structural digest, so
-repeated slices pay it once).  The exception is
-:func:`~repro.automata.ops.eliminate_epsilon`, which is memoized under
-the *structural* key only: the GCI procedure reads bridge-crossing
-structure off products of its output, so substituting a language-equal
-but structurally different machine could change which candidate
-combinations get enumerated.  Structural keying is exactly
-behavior-preserving.
+Keying a machine freezes it (:meth:`~repro.automata.nfa.Nfa.freeze`),
+and its structural digest, signature and determinization are memoized
+on the frozen machine itself: they are pure functions of it, so they
+never go stale and are valid in every cache.  Stored results are frozen
+too, and a hit returns the stored object itself.  Operation results are
+memoized under language signatures, except
+:func:`~repro.automata.ops.eliminate_epsilon`, which is keyed
+structurally because GCI reads bridge-crossing structure off products
+of its output.  For the same reason cached results are only
+language-faithful: the structure-sensitive GCI paths (``product``, the
+stage-1/stage-2 machines of ``gci._prepare_group``) never consult the
+cache.  ``is_subset``/``equivalent`` use signatures only when both are
+already known; otherwise the lazy inclusion check runs and its verdict
+is memoized under structural keys.
 
 Scoping — the cache is **solver-scoped, not global**: a
 :class:`LangCache` is held by :class:`~repro.solver.api.RegLangSolver`
 (or created per solve from ``GciLimits.cache``) and activated for a
 dynamic extent with :meth:`LangCache.activate`, a context variable in
-the same style as :mod:`repro.obs`.  Nothing is shared across solvers,
-and dropping the solver drops the cache.  For state that must outlive
-a process — the solve daemon's restarts, replicas sharing one warm
-tier — attach a persistent :class:`repro.cache.store.SignatureStore`:
+the same style as :mod:`repro.obs`.  For state that must outlive a
+process, attach a persistent :class:`repro.cache.store.SignatureStore`:
 the LRU table stays the fast path, persistable entry classes are
 written through to disk, and LRU misses fall back to the store.
-
-Caveats (see ``docs/CACHING.md``):
-
-* Cached NFA and DFA results are returned as fresh copies, so callers
-  may mutate them freely; the stored machine is private to the cache.
-* Cached results are language-faithful but not *structure*- or
-  *tag*-faithful: a hit may return a language-equal machine with
-  different states, start/final sets, or bridge tags.  The
-  structure-sensitive GCI paths therefore never go through the
-  signature-keyed cache: :func:`~repro.automata.ops.product` (with or
-  without provenance) and the stage-1/stage-2 machine construction in
-  ``gci._prepare_group`` call the uncached product directly, because
-  the bridge images enumerated in stage 4 are read off those machines'
-  start/final structure.  Signature-keyed ``intersect`` is reserved for
-  purely language-level uses (share intersection in
-  ``_slice_combination``, maximization caps).
-* ``is_subset``/``equivalent`` only use the signature fast path when
-  both operands' signatures are already known; otherwise the lazy
-  on-the-fly inclusion check runs (no forced determinization — which
-  could blow up on NFAs the lazy check handles easily) and its verdict
-  is memoized under structural keys.
-* Mutating a machine *after* the cache has fingerprinted it is detected
-  by a cheap staleness stamp (state/transition counts plus start/final
-  sets); in-place edits that preserve all of those would evade it, but
-  no public ``Nfa`` API can do that.
 """
 
 from __future__ import annotations
@@ -79,8 +54,7 @@ from collections import OrderedDict, deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Optional
-from weakref import ref as weakref_ref
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from .. import obs
 
@@ -103,30 +77,6 @@ class CacheLimits:
 
     enabled: bool = True
     max_entries: int = 4096
-
-
-class _Rec:
-    """Per-object fingerprint record: lazily computed digests for one
-    ``Nfa`` instance, guarded against mutation by ``stamp``."""
-
-    __slots__ = ("ref", "stamp", "struct", "sig", "dfa")
-
-    def __init__(self, nfa: "Nfa", stamp: tuple):
-        self.ref = weakref_ref(nfa)
-        self.stamp = stamp
-        self.struct: Optional[str] = None
-        self.sig: Optional[str] = None
-        self.dfa: Optional["Dfa"] = None
-
-
-def _stamp(nfa: "Nfa") -> tuple:
-    """A cheap mutation detector for the per-object record."""
-    return (
-        nfa.num_states,
-        nfa.num_transitions,
-        hash(frozenset(nfa.starts)),
-        hash(frozenset(nfa.finals)),
-    )
 
 
 def _struct_digest(nfa: "Nfa") -> str:
@@ -190,18 +140,6 @@ def _lang_digest(mdfa: "Dfa") -> str:
     return hasher.hexdigest()
 
 
-def _copy_dfa(dfa: "Dfa") -> "Dfa":
-    """A defensive copy sharing only immutable pieces (labels, ids)."""
-    from ..automata.dfa import Dfa
-
-    return Dfa(
-        dfa.alphabet,
-        {state: list(moves) for state, moves in dfa.transitions.items()},
-        dfa.start,
-        set(dfa.finals),
-    )
-
-
 class LangCache:
     """Solver-scoped memoization of language-level automata operations.
 
@@ -223,7 +161,6 @@ class LangCache:
         # every persistable insert.  The LRU table stays the fast path.
         self.store = store
         self._table: OrderedDict[tuple, Any] = OrderedDict()
-        self._recs: dict[int, _Rec] = {}
         self.hits: dict[str, int] = {}
         self.misses: dict[str, int] = {}
         self.evictions = 0
@@ -275,7 +212,10 @@ class LangCache:
         return None
 
     def _install(self, key: tuple, value: Any) -> None:
-        """Insert into the LRU table (evicting as needed), no store write."""
+        """Insert into the LRU table (evicting as needed), no store write.
+        Machines are frozen on the way in, so hits return them as-is."""
+        if not isinstance(value, str):
+            value.freeze()
         self._table[key] = value
         self._table.move_to_end(key)
         while len(self._table) > self.limits.max_entries:
@@ -305,38 +245,26 @@ class LangCache:
             summary["store"] = self.store.stats()
         return summary
 
-    def clear(self) -> None:
-        self._table.clear()
-        self._recs.clear()
-
     # -- fingerprints ---------------------------------------------------
 
-    def _rec(self, nfa: "Nfa") -> _Rec:
-        stamp = _stamp(nfa)
-        rec = self._recs.get(id(nfa))
-        if rec is None or rec.ref() is not nfa or rec.stamp != stamp:
-            rec = _Rec(nfa, stamp)
-            self._recs[id(nfa)] = rec
-            if len(self._recs) > 4 * self.limits.max_entries:
-                self._recs = {
-                    key: value
-                    for key, value in self._recs.items()
-                    if value.ref() is not None
-                }
-        return rec
+    def _rec(self, nfa: "Nfa") -> "Nfa":
+        """Freeze ``nfa`` and return it: keying a machine freezes it, so
+        the fingerprints memoized on it can never go stale."""
+        nfa.freeze()
+        return nfa
 
     def struct_key(self, nfa: "Nfa") -> str:
-        """The structural digest of ``nfa``, memoized per object."""
-        rec = self._rec(nfa)
-        if rec.struct is None:
-            rec.struct = _struct_digest(nfa)
-        return rec.struct
+        """The structural digest of ``nfa``, memoized on the machine."""
+        nfa = self._rec(nfa)
+        if nfa._digest is None:
+            nfa._digest = _struct_digest(nfa)
+        return nfa._digest
 
     def signature(self, nfa: "Nfa") -> str:
         """The canonical language signature of ``nfa``.
 
-        Memoized per object *and* per structural digest, so the
-        determinize+minimize it costs is paid once per distinct
+        Memoized on the (frozen) machine *and* per structural digest, so
+        the determinize+minimize it costs is paid once per distinct
         structure, not once per object.
         """
         sig, _ = self._signature(nfa)
@@ -344,14 +272,10 @@ class LangCache:
 
     def _signature(self, nfa: "Nfa") -> tuple[str, bool]:
         """Returns ``(signature, computed_fresh)``."""
-        rec = self._rec(nfa)
-        if rec.sig is not None:
-            return rec.sig, False
-        struct = self.struct_key(nfa)
-        known = self._get(("sig", struct))
+        known = self._sig_if_known(nfa)
         if known is not None:
-            rec.sig = known
             return known, False
+        struct = self.struct_key(nfa)
         # Instrumented (not cache-consulting) entry points: the subset
         # construction and Hopcroft refinement a signature costs are
         # real work and stay attributed in the span trace.
@@ -359,16 +283,14 @@ class LangCache:
 
         obs.count_operation("signature")
         with obs.span("signature", states_in=nfa.num_states) as sp:
-            dfa = (
-                rec.dfa
-                if rec.dfa is not None
-                else _determinize_instrumented(nfa)
-            )
-            rec.dfa = dfa
-            mdfa = minimize_dfa(dfa)
+            if nfa._dfa is None:
+                dfa = _determinize_instrumented(nfa)
+                dfa.freeze()
+                nfa._dfa = dfa
+            mdfa = minimize_dfa(nfa._dfa)
             sig = _lang_digest(mdfa)
             sp.set("states_out", mdfa.num_states)
-        rec.sig = sig
+        nfa._sig = sig
         self._put(("sig", struct), sig)
         if self._get(("min", sig)) is None:
             # The minimal machine is a free by-product of the signature;
@@ -406,42 +328,39 @@ class LangCache:
         return cid
 
     def _sig_if_known(self, nfa: "Nfa") -> Optional[str]:
-        """The signature if one is already on record (per object or per
-        structural digest) — never forces a determinization."""
-        rec = self._rec(nfa)
-        if rec.sig is None:
+        """The signature if one is already on record (on the machine or
+        per structural digest) — never forces a determinization."""
+        nfa = self._rec(nfa)
+        if nfa._sig is None:
             known = self._get(("sig", self.struct_key(nfa)))
             if known is not None:
-                rec.sig = known
-        return rec.sig
+                nfa._sig = known
+        return nfa._sig
 
     # -- memoized operations -------------------------------------------
 
     def determinize(self, nfa: "Nfa") -> "Dfa":
-        """Memoized subset construction (per object, then per language).
-
-        The stored DFA is private to the cache — ``Dfa`` is mutable, so
-        a caller mutating a shared instance would silently poison every
-        entry derived from it; each call returns a fresh copy.
-        """
+        """Memoized subset construction (per machine, then per language);
+        every caller shares the one frozen DFA."""
         from ..automata.dfa import _determinize_instrumented
 
-        rec = self._rec(nfa)
-        if rec.dfa is not None:
+        nfa = self._rec(nfa)
+        if nfa._dfa is not None:
             self._hit("determinize")
-            return _copy_dfa(rec.dfa)
-        if rec.sig is not None:
-            stored = self._get(("dfa", rec.sig))
+            return nfa._dfa
+        if nfa._sig is not None:
+            stored = self._get(("dfa", nfa._sig))
             if stored is not None:
                 self._hit("determinize")
-                rec.dfa = stored
-                return _copy_dfa(stored)
+                nfa._dfa = stored
+                return stored
         self._miss("determinize")
         dfa = _determinize_instrumented(nfa)
-        rec.dfa = dfa
-        if rec.sig is not None:
-            self._put(("dfa", rec.sig), dfa)
-        return _copy_dfa(dfa)
+        dfa.freeze()
+        nfa._dfa = dfa
+        if nfa._sig is not None:
+            self._put(("dfa", nfa._sig), dfa)
+        return dfa
 
     def minimize(self, nfa: "Nfa") -> "Nfa":
         """Memoized canonical minimization, keyed by language signature."""
@@ -456,34 +375,22 @@ class LangCache:
 
             stored = _minimize_nfa_instrumented(nfa)
             self._put(("min", sig), stored)
-        return stored.copy()
+        return stored
 
     def complement(self, nfa: "Nfa") -> "Nfa":
         from ..automata.dfa import _complement_instrumented
 
-        sig = self.signature(nfa)
-        stored = self._get(("comp", sig))
-        if stored is not None:
-            self._hit("complement")
-            return stored.copy()
-        self._miss("complement")
-        result = _complement_instrumented(nfa)
-        self._put(("comp", sig), result.copy())
-        return result
+        key = ("comp", self.signature(nfa))
+        return self._memoized("complement", key, _complement_instrumented, nfa)
 
     def eliminate_epsilon(self, nfa: "Nfa") -> "Nfa":
         """Memoized ε-elimination, keyed *structurally* (see module docs)."""
         from ..automata.ops import _eliminate_epsilon_instrumented
 
         key = ("elim_eps", self.struct_key(nfa))
-        stored = self._get(key)
-        if stored is not None:
-            self._hit("eliminate_epsilon")
-            return stored.copy()
-        self._miss("eliminate_epsilon")
-        result = _eliminate_epsilon_instrumented(nfa)
-        self._put(key, result.copy())
-        return result
+        return self._memoized(
+            "eliminate_epsilon", key, _eliminate_epsilon_instrumented, nfa
+        )
 
     def intersect(self, a: "Nfa", b: "Nfa") -> "Nfa":
         """Memoized provenance-free intersection (commutative key)."""
@@ -494,39 +401,35 @@ class LangCache:
         sig_a = self.signature(a)
         sig_b = self.signature(b)
         key = ("intersect",) + tuple(sorted((sig_a, sig_b)))
-        stored = self._get(key)
-        if stored is not None:
-            self._hit("intersect")
-            return stored.copy()
-        self._miss("intersect")
-        result, _ = product(a, b)
-        self._put(key, result.copy())
-        return result
+        return self._memoized("intersect", key, lambda x, y: product(x, y)[0], a, b)
 
     def left_quotient(self, prefixes: "Nfa", language: "Nfa") -> "Nfa":
         from ..automata.ops import _left_quotient_instrumented
 
         key = ("lq", self.signature(prefixes), self.signature(language))
-        stored = self._get(key)
-        if stored is not None:
-            self._hit("left_quotient")
-            return stored.copy()
-        self._miss("left_quotient")
-        result = _left_quotient_instrumented(prefixes, language)
-        self._put(key, result.copy())
-        return result
+        return self._memoized(
+            "left_quotient", key, _left_quotient_instrumented, prefixes, language
+        )
 
     def right_quotient(self, language: "Nfa", suffixes: "Nfa") -> "Nfa":
         from ..automata.ops import _right_quotient_instrumented
 
         key = ("rq", self.signature(language), self.signature(suffixes))
+        return self._memoized(
+            "right_quotient", key, _right_quotient_instrumented, language, suffixes
+        )
+
+    def _memoized(
+        self, op: str, key: tuple, compute: Callable[..., "Nfa"], *machines: "Nfa"
+    ) -> "Nfa":
+        """The stored (frozen) result for ``key``, computing it on a miss."""
         stored = self._get(key)
         if stored is not None:
-            self._hit("right_quotient")
-            return stored.copy()
-        self._miss("right_quotient")
-        result = _right_quotient_instrumented(language, suffixes)
-        self._put(key, result.copy())
+            self._hit(op)
+            return stored
+        self._miss(op)
+        result = compute(*machines)
+        self._put(key, result)
         return result
 
     def is_subset(self, a: "Nfa", b: "Nfa") -> bool:

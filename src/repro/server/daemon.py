@@ -272,6 +272,10 @@ class SolveDaemon:
                     result = run_job(job.kind, job.payload, self._config)
             except Exception as error:  # answered, not fatal to the daemon
                 outcomes.append((job, None, error))
+                continue
+            if job.expired(self._loop.time()):  # ready only after its deadline
+                miss = DeadlineExceeded("deadline passed mid-request")
+                outcomes.append((job, None, miss))
             else:
                 outcomes.append((job, result, None))
         return outcomes

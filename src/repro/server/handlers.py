@@ -21,7 +21,7 @@ from typing import Any, Optional
 from ..analysis.analyzer import analyze_source
 from ..analysis.attacks import ALL_ATTACKS, CONTAINS_QUOTE
 from ..constraints.dsl import DslError, parse_problem
-from ..solver.gci import GciLimits
+from ..solver.gci import CombinationLimitExceeded, GciLimits
 from ..solver.worklist import solve as solve_problem
 from .batch import CompatKey
 from .config import ServerConfig
@@ -120,12 +120,15 @@ def run_job(
 ) -> dict[str, Any]:
     """Execute one batched job; the daemon wraps this in the
     ``server_request`` span and the shared cache activation."""
-    if kind == "solve":
-        return _run_solve(payload, config)
-    if kind == "check":
-        return _run_check(payload)
-    if kind == "analyze":
-        return _run_analyze(payload, config)
+    try:
+        if kind == "solve":
+            return _run_solve(payload, config)
+        if kind == "check":
+            return _run_check(payload)
+        if kind == "analyze":
+            return _run_analyze(payload, config)
+    except CombinationLimitExceeded as error:
+        raise RequestError(422, str(error), code=error.code) from error
     raise RequestError(404, f"unknown endpoint kind {kind!r}")
 
 

@@ -64,7 +64,13 @@ from ..automata.nfa import BridgeTag, Nfa
 from ..cache import CacheLimits, active_cache
 from ..constraints.depgraph import DepGraph, Node
 
-__all__ = ["GciLimits", "solve_group", "group_solutions"]
+__all__ = ["CombinationLimitExceeded", "GciLimits", "solve_group", "group_solutions"]
+
+
+class CombinationLimitExceeded(RuntimeError):
+    """A CI-group exceeds ``GciLimits.max_combinations`` (diagnostic D100)."""
+
+    code = "D100"
 
 
 @dataclass
@@ -701,7 +707,7 @@ def _prepare_group(
     for tag in tag_order:
         total_combinations *= len(edges_by_tag[tag])
     if total_combinations > limits.max_combinations:
-        raise RuntimeError(
+        raise CombinationLimitExceeded(
             f"CI-group requires {total_combinations} bridge combinations "
             f"(limit {limits.max_combinations})"
         )
@@ -923,8 +929,8 @@ def _share_intersection(
 
     ``key1``/``key2`` are slice-memo keys ``(occ index, start edge,
     final edge)`` of two occurrences of the same variable; the memoized
-    machine is shared, so callers must ``copy()`` before handing it out
-    as part of a solution.  ``None`` means the intersection is empty.
+    machine is frozen, so every combination shares it as (part of) a
+    solution.  ``None`` means the intersection is empty.
     """
     pair_key = (key1, key2) if key1[0] < key2[0] else (key2, key1)
     if pair_key in pair_memo:
@@ -941,6 +947,7 @@ def _share_intersection(
         result = None
     else:
         intersection = ops.intersect(a, b).trim()
+        intersection.freeze()
         result = None if intersection.is_empty() else intersection
     # dprle-lint: disable=L001 -- pair_memo is a documented out-param accumulator, not machine state
     pair_memo[pair_key] = result
@@ -961,8 +968,7 @@ def _occurrence_slice(
     ``(src, dst)`` bridge edge sets the start to its destination
     (start-side) or the final to its source (final-side), exactly the
     paper's induce-from construction.  Returns ``None`` for an empty
-    slice.  Memoized machines are shared across combinations — callers
-    must copy before handing one out as (part of) a solution.
+    slice.  Memoized machines are frozen and shared across combinations.
     """
     key = (occ_index, start_edge, final_edge)
     if key in memo:
@@ -975,6 +981,7 @@ def _occurrence_slice(
     if final_edge is not None:
         piece.set_final(final_edge[0])
     piece = piece.trim()
+    piece.freeze()
     result = None if piece.is_empty() else piece
     # dprle-lint: disable=L001 -- memo is a documented out-param accumulator, not machine state
     memo[key] = result
@@ -1013,9 +1020,7 @@ def _slice_combination(
     for node in prepared.var_nodes:
         parts = slices[node]
         if len(parts) == 1:
-            # The memoized slice is shared across combinations; the
-            # solution must own its machine.
-            machine = parts[0][1].copy()
+            machine = parts[0][1]
         elif len(parts) == 2:
             # The common sharing shape; the intersection is memoized
             # (and may already be warm from the factoring pass).
@@ -1029,7 +1034,7 @@ def _slice_combination(
             )
             if cached is None:
                 return None
-            machine = cached.copy()
+            machine = cached
         else:
             machine = parts[0][1]
             for _, part in parts[1:]:

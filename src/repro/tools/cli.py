@@ -61,7 +61,7 @@ from ..analysis.attacks import ALL_ATTACKS, CONTAINS_QUOTE
 from ..analysis.corpus import build_corpus
 from ..cache import CacheLimits, LangCache
 from ..constraints.dsl import DslError, parse_problem
-from ..solver.gci import GciLimits
+from ..solver.gci import CombinationLimitExceeded, GciLimits
 from ..solver.worklist import solve
 
 __all__ = ["main"]
@@ -534,11 +534,15 @@ def _run_solve(args: argparse.Namespace) -> int:
 def _solve_and_print(args: argparse.Namespace, problem) -> int:
     # dprle-lint: disable=L040 -- user-facing elapsed printed with the answer; span timing is the telemetry copy
     started = time.perf_counter()
-    solutions = solve(
-        problem,
-        max_solutions=args.max_solutions,
-        limits=_cli_limits(args),
-    )
+    try:
+        solutions = solve(
+            problem,
+            max_solutions=args.max_solutions,
+            limits=_cli_limits(args),
+        )
+    except CombinationLimitExceeded as error:
+        print(f"{args.file}: error[{error.code}]: {error}", file=sys.stderr)
+        return 2
     # dprle-lint: disable=L040 -- user-facing elapsed printed with the answer; span timing is the telemetry copy
     elapsed = time.perf_counter() - started
 

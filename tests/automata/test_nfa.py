@@ -195,6 +195,27 @@ class TestTransforms:
         with pytest.raises(ValueError):
             machine.map_states(lambda s: 0)
 
+    def test_machines_derived_from_frozen_are_mutable(self):
+        machine = Nfa.literal("ab")
+        machine.freeze()
+        start, final = machine.start, machine.final
+        derived = [
+            machine.copy(),
+            machine.trim(),
+            machine.normalized(),
+            machine.with_start(start),
+            machine.with_final(final),
+            machine.renumbered()[0],
+            machine.map_states(lambda s: s + 10),
+        ]
+        for clone in derived:
+            assert not clone.frozen
+            state = clone.add_state()
+            clone.finals.add(state)
+            clone.starts.add(state)
+            assert clone.accepts("")
+        assert machine.frozen and not machine.accepts("")
+
 
 class TestBridgeTags:
     def test_tags_have_unique_labels(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.automata import CharSet, Nfa, ops
+from repro.automata import CharSet, Edge, Nfa, ops
 from repro.automata.dfa import determinize, minimize_nfa
 from repro.automata.equivalence import equivalent, is_subset
 from repro.cache import CacheLimits, LangCache, active_cache
@@ -12,6 +12,32 @@ from repro.solver import solve
 from repro.solver.gci import GciLimits
 
 from ..helpers import AB, ABC, language, machine
+
+
+def assert_refuses_nfa_mutation(nfa: Nfa) -> None:
+    """Every public way to edit a frozen machine raises."""
+    state = min(nfa.states)
+    edges = nfa.out_edges(state)
+    for vandalize in (
+        lambda: nfa.add_state(),
+        lambda: nfa.add_states(2),
+        lambda: nfa.add_transition(state, CharSet.single("a"), state),
+        lambda: nfa.add_epsilon(state, state),
+        lambda: nfa.add_char(state, "a", state),
+        lambda: nfa.set_start(state),
+        lambda: nfa.set_final(state),
+        lambda: nfa.finals.add(state),
+        lambda: nfa.starts.clear(),
+        lambda: edges.append(Edge(None, state)),
+    ):
+        with pytest.raises((TypeError, AttributeError)):
+            vandalize()
+    with pytest.raises(TypeError):
+        nfa.finals = set()
+    with pytest.raises(TypeError):
+        nfa.starts = set()
+    with pytest.raises(TypeError):
+        del nfa.finals
 
 
 @pytest.fixture
@@ -63,13 +89,35 @@ class TestSignatures:
             Nfa.literal("a", ABC)
         )
 
-    def test_stale_fingerprint_recomputed_after_mutation(self, cache):
+    def test_keyed_machine_refuses_mutation(self, cache):
+        # A caller can never leave a stale fingerprint behind: keying
+        # freezes the machine, and every public mutator then raises.
         a = machine("a", ABC)
-        sig_before = cache.signature(a)
-        state = a.add_state()
-        a.add_transition(min(a.finals), a.alphabet.universe, state)
-        a.finals = a.finals | {state}
-        assert cache.signature(a) != sig_before
+        cache.signature(a)
+        assert a.frozen
+        assert_refuses_nfa_mutation(a)
+        assert cache.signature(a) == cache.signature(machine("a", ABC))
+
+    def test_out_edges_rewrite_cannot_stale_signature(self, cache):
+        a = Nfa.literal("a", ABC)
+        sig = cache.signature(a)
+        (s0,) = a.starts
+        dst = a.out_edges(s0)[0].dst
+        with pytest.raises(TypeError):
+            a.out_edges(s0)[0] = Edge(CharSet.single("b"), dst)
+        assert language(a) == {"a"}
+        assert cache.signature(a) == sig != cache.signature(Nfa.literal("b", ABC))
+
+    def test_copy_of_frozen_machine_is_mutable(self, cache):
+        a = machine("ab", ABC)
+        sig = cache.signature(a)
+        clone = a.copy()
+        assert not clone.frozen
+        state = clone.add_state()
+        clone.add_transition(min(clone.finals), clone.alphabet.universe, state)
+        clone.finals = clone.finals | {state}
+        assert language(a) == {"ab"}
+        assert cache.signature(a) == sig != cache.signature(clone)
 
 
 class TestMemoizedOperations:
@@ -81,11 +129,12 @@ class TestMemoizedOperations:
         assert language(first) == language(second) == language(a)
         assert cache.hits.get("minimize", 0) >= 1
 
-    def test_minimize_returns_defensive_copy(self, cache):
+    def test_minimize_result_is_frozen(self, cache):
         a = machine("ab", ABC)
         first = minimize_nfa(a)
-        first.finals = set()  # vandalize the returned machine
+        assert_refuses_nfa_mutation(first)
         second = minimize_nfa(machine("ab", ABC))
+        assert second is first
         assert language(second) == {"ab"}
 
     def test_determinize_memoizes_per_object(self, cache):
@@ -94,18 +143,51 @@ class TestMemoizedOperations:
         determinize(a)
         assert cache.hits.get("determinize", 0) >= 1
 
-    def test_determinize_returns_defensive_copy(self, cache):
-        # Dfa is mutable; sharing the stored instance would let any
-        # caller silently poison entries shared across language-equal
-        # machines (REVIEW.md).
+    def test_determinize_result_is_frozen(self, cache):
+        # The stored DFA is shared across language-equal machines, so
+        # no caller may be able to edit it.
         a = machine("ab", ABC)
         first = determinize(a)
-        first.finals.clear()  # vandalize the returned machine
+        assert first.frozen and determinize(a) is first
+        start_moves = first.transitions[first.start]
+        for vandalize in (
+            lambda: first.finals.clear(),
+            lambda: first.transitions.clear(),
+            lambda: first.transitions.__setitem__(first.start, []),
+            lambda: start_moves.append(start_moves[0]),
+        ):
+            with pytest.raises((TypeError, AttributeError)):
+                vandalize()
+        with pytest.raises(TypeError):
+            first.start = 1
+        with pytest.raises(TypeError):
+            first.finals = set()
+        with pytest.raises(TypeError):
+            del first.transitions
         assert determinize(a).accepts("ab")
         b = machine("ab|ab", ABC)
         cache.signature(a), cache.signature(b)
-        determinize(b).transitions.clear()  # vandalize the shared entry
+        with pytest.raises(AttributeError):
+            determinize(b).transitions.clear()  # the shared entry refuses too
         assert determinize(b).accepts("ab")
+        clone = first.copy()
+        assert not clone.frozen
+        clone.finals.clear()
+        assert not clone.accepts("ab") and first.accepts("ab")
+
+    def test_intersect_hit_returns_stored_object(self, cache):
+        a, b = machine("a*b", ABC), machine("(a|b)*", ABC)
+        first = ops.intersect(a, b)
+        with obs.collect() as collector:
+            # A fresh compile of ``a`` is a new object with the same
+            # structural digest, so the hit costs no new signature.
+            second = ops.intersect(machine("a*b", ABC), b)
+            for _ in range(3):
+                cache.signature(second)
+        assert second is first and first.frozen
+        assert cache.hits.get("intersect") == 1
+        counters = collector.metrics.snapshot()["counters"]
+        assert counters["op.signature"] == 1
 
     def test_intersect_key_is_commutative(self, cache):
         a, b = machine("a*b", ABC), machine("(a|b)*", ABC)

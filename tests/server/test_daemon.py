@@ -137,6 +137,13 @@ class TestErrors:
         assert doc["error"]["code"].startswith("D")
         assert "line 2" in doc["error"]["message"]
 
+    def test_combination_limit_is_422_with_code(self, daemon):
+        source = "var v1,v2,v3,v4,v5;\nv1 . v2 . v3 . v4 . v5 <= /(a|b){0,40}/;\n"
+        status, doc = daemon.request("POST", "/solve", {"source": source})
+        assert status == 422
+        assert doc["error"]["code"] == "D100"
+        assert "bridge combinations" in doc["error"]["message"]
+
     def test_missing_source_is_400(self, daemon):
         status, doc = daemon.request("POST", "/solve", {})
         assert status == 400
@@ -185,6 +192,27 @@ class TestDeadlines:
         _, doc = daemon.request("GET", "/stats")
         counters = doc["metrics"]["counters"]
         assert counters.get("server.deadline_exceeded", 0) >= 1
+
+    def test_result_ready_after_deadline_is_504(self, daemon, monkeypatch):
+        import time
+
+        import repro.server.daemon as daemon_mod
+
+        original = daemon_mod.run_job
+
+        def slow_job(*args):
+            time.sleep(0.1)
+            return original(*args)
+
+        monkeypatch.setattr(daemon_mod, "run_job", slow_job)
+        # The job starts before its 20 ms deadline and finishes well
+        # inside the connection-side grace: the dispatcher must still
+        # answer it as a miss.
+        status, doc = daemon.request(
+            "POST", "/solve", {"source": SIMPLE_SOURCE, "deadline_ms": 20}
+        )
+        assert status == 504
+        assert "mid-request" in doc["error"]["message"]
 
     def test_generous_deadline_succeeds(self, daemon):
         status, doc = daemon.request(

@@ -204,3 +204,19 @@ class TestLangCacheIntegration:
             reloaded = cold.minimize(machine("(ab)*c", ABC))
         assert equivalent(minimal, reloaded)
         store.close()
+
+    def test_warm_store_hit_is_frozen(self, db):
+        a, b = machine("a*b", ABC), machine("(a|b)*", ABC)
+        with SignatureStore(db) as store:
+            with LangCache(CacheLimits(), store=store).activate() as warm:
+                warm.intersect(a, b)
+        with SignatureStore(db) as store:
+            cold = LangCache(CacheLimits(), store=store)
+            with cold.activate():
+                loaded = cold.intersect(machine("a*b", ABC), machine("(a|b)*", ABC))
+                again = cold.intersect(machine("a*b", ABC), machine("(a|b)*", ABC))
+            assert store.hits > 0
+        assert loaded.frozen and again is loaded
+        with pytest.raises(TypeError):
+            loaded.add_state()
+        assert language(loaded) == language(machine("a*b", ABC))

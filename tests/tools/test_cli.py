@@ -19,6 +19,10 @@ if (!preg_match('/[\d]+$/', $id)) { exit; }
 query("SELECT * FROM t WHERE id=$id");
 """
 
+#: Five variables over one window: 3^16 bridge combinations, far past
+#: the default ``GciLimits.max_combinations``.
+COMBINATION_BLOWUP = "var v1,v2,v3,v4,v5;\nv1 . v2 . v3 . v4 . v5 <= /(a|b){0,40}/;\n"
+
 SAFE_PHP = VULNERABLE_PHP.replace(r"/[\d]+$/", r"/^[\d]+$/")
 
 
@@ -73,6 +77,17 @@ class TestSolve:
         path.write_text("var v;\nv <=")
         assert main(["solve", str(path)]) == 2
         assert "bad.dprle" in capsys.readouterr().err
+
+    def test_combination_limit_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "wide.dprle"
+        path.write_text(COMBINATION_BLOWUP)
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{path}: error[D100]: ")
+        assert "43046721 bridge combinations" in lines[0]
+        assert "Traceback" not in captured.err
 
 
 def _span_index(trace: dict) -> dict[str, list[dict]]:
