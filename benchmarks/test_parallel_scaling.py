@@ -213,12 +213,12 @@ def test_planner_first_solution_sweep():
         )
     write_table(
         "planner",
-        "Enumeration planner — first-solution work, plan off/equiv/full",
+        "Enumeration planner — first-solution work, plan off/on",
         lines,
     )
     write_json(
         "planner",
-        "Enumeration planner — first-solution work, plan off/equiv/full",
+        "Enumeration planner — first-solution work, plan off/on",
         {"rows": rows},
         cache={"enabled": True},
     )

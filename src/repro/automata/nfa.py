@@ -278,12 +278,13 @@ class Nfa:
                     queue.append(edge.dst)
         return seen
 
-    def coreachable(self) -> set[int]:
-        """States from which some final state is reachable."""
+    def coreachable(self, finals: Optional[Iterable[int]] = None) -> set[int]:
+        """States from which some final state (of ``finals``, default
+        the machine's own) is reachable."""
         preds: dict[int, set[int]] = {state: set() for state in self._edges}
         for src, edge in self.edges():
             preds[edge.dst].add(src)
-        seen = set(self.finals)
+        seen = set(self.finals if finals is None else finals)
         queue = deque(seen)
         while queue:
             state = queue.popleft()
@@ -340,16 +341,25 @@ class Nfa:
         clone.set_final(state)
         return clone
 
-    def trim(self) -> "Nfa":
+    def trim(
+        self,
+        starts: Optional[Iterable[int]] = None,
+        finals: Optional[Iterable[int]] = None,
+    ) -> "Nfa":
         """Copy restricted to live states (keeps ids).
 
-        The result always retains at least one start state so it remains
-        a well-formed machine even when the language is empty.
+        ``starts``/``finals`` replace the machine's own in the copy, so
+        ``with_start(s).trim()`` is ``trim(starts={s})`` without the
+        intermediate copy.  The result always retains at least one start
+        state so it remains a well-formed machine even when the language
+        is empty.
         """
-        live = self.live_states()
+        start_set = set(self.starts if starts is None else starts)
+        final_set = set(self.finals if finals is None else finals)
+        live = self.reachable_from(start_set) & self.coreachable(final_set)
         clone = Nfa(self.alphabet)
         clone._next_state = self._next_state
-        keep = live | set(self.starts)
+        keep = live | start_set
         for state in keep:
             clone._edges[state] = []
         for state in keep:
@@ -358,8 +368,8 @@ class Nfa:
                 for edge in self._edges[state]
                 if edge.dst in live and state in live
             ]
-        clone.starts = set(self.starts)
-        clone.finals = live & self.finals  # a set even when self is frozen
+        clone.starts = start_set
+        clone.finals = live & final_set
         return clone
 
     def renumbered(self) -> tuple["Nfa", dict[int, int]]:

@@ -38,10 +38,10 @@ already known; otherwise the lazy inclusion check runs and its verdict
 is memoized under structural keys.
 
 Scoping — the cache is **solver-scoped, not global**: a
-:class:`LangCache` is held by :class:`~repro.solver.api.RegLangSolver`
-(or created per solve from ``GciLimits.cache``) and activated for a
-dynamic extent with :meth:`LangCache.activate`, a context variable in
-the same style as :mod:`repro.obs`.  For state that must outlive a
+:class:`LangCache` is held by :class:`~repro.solver.api.RegLangSolver`,
+the CLI or the daemon, and activated for a dynamic extent with
+:meth:`LangCache.activate`, a context variable in the same style as
+:mod:`repro.obs`.  For state that must outlive a
 process, attach a persistent :class:`repro.cache.store.SignatureStore`:
 the LRU table stays the fast path, persistable entry classes are
 written through to disk, and LRU misses fall back to the store.

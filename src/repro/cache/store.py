@@ -106,7 +106,7 @@ class SignatureStore:
     """A sqlite-backed, write-through map from cache keys to entries.
 
     One instance owns one connection (thread-safe behind an internal
-    lock, so a daemon's batch thread and its stats endpoint may share
+    lock, so a daemon's job thread and its stats endpoint may share
     it); several instances — including instances in different processes
     — may open the same path concurrently.
     """

@@ -2,10 +2,8 @@
 
 One frozen dataclass carries every knob from the CLI into
 :mod:`repro.server.daemon`; tests construct it directly.  Defaults are
-chosen for a local single-replica daemon: loopback only, a small batch
-window (enough to coalesce a concurrent burst without adding visible
-latency to a lone request), and no persistent store unless a
-``--cache-db`` path is given.
+chosen for a local single-replica daemon: loopback only, and no
+persistent store unless a ``--cache-db`` path is given.
 """
 
 from __future__ import annotations
@@ -38,11 +36,6 @@ class ServerConfig:
     plan: bool = False
     #: Max entries in the shared in-memory language cache.
     cache_entries: int = 4096
-    #: How long the batcher waits after the first queued job for
-    #: compatible company, in seconds.  0 disables coalescing.
-    batch_window: float = 0.005
-    #: Max jobs dispatched as one batch.
-    max_batch: int = 16
     #: Deadline applied to requests that do not carry their own
     #: ``deadline_ms``; None means no default deadline.
     default_deadline: Optional[float] = None
@@ -56,9 +49,5 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.port < 0 or self.port > 65535:
             raise ValueError(f"port out of range: {self.port}")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if self.max_body_bytes < 1:
             raise ValueError("max_body_bytes must be >= 1")

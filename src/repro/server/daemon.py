@@ -9,27 +9,27 @@ loops sharing one process:
   requests (:mod:`repro.server.httpio`), answer ``/healthz`` and
   ``/stats`` inline, and turn ``/solve``, ``/check``, ``/analyze`` and
   ``/rpc`` bodies into queued jobs, then await each job's future.
-* **The batcher** (:mod:`repro.server.batch`) coalesces queued jobs
-  into compatible batches.
-* **One dispatcher** pulls batches and executes them — one batch at a
-  time, on a worker thread via ``asyncio.to_thread`` — against the
+* **The job queue** (:mod:`repro.server.jobs`) holds them in arrival
+  order.
+* **One dispatcher** takes jobs one at a time, in arrival order, and
+  runs each on a worker thread via ``asyncio.to_thread`` against the
   daemon-lifetime :class:`~repro.cache.LangCache` (optionally backed by
-  the persistent :class:`~repro.cache.store.SignatureStore`).  Running
-  exactly one batch at a time is a correctness choice, not an accident:
-  the language cache and the observability collector are shared
-  mutable state, and the solver's own parallelism
-  (:mod:`repro.parallel`, driven by the ``workers`` knob) is where
-  multi-core wins come from.
+  the persistent :class:`~repro.cache.store.SignatureStore`), answering
+  it as soon as it finishes.  Running exactly one job at a time is a
+  correctness choice, not an accident: the language cache and the
+  observability collector are shared mutable state, and the solver's
+  own parallelism (:mod:`repro.parallel`, driven by the ``workers``
+  knob) is where multi-core wins come from.
 
 Telemetry: the daemon keeps a lifetime collector whose registry backs
 ``/stats``; every answered request counts ``server.requests`` (and
 ``server.errors`` / ``server.deadline_exceeded`` as applicable), every
-batch executes under a ``server_request`` span per job — which is what
-mints per-request trace ids in the ``--journal`` event stream — and
-queue behavior is visible as ``server.queue_depth`` /
-``server.queue_wait_seconds`` / ``server.batch_size``.  All clock
-reads use the event loop's clock (``loop.time()``), keeping raw
-``time.*`` calls out of the server per the ``L040`` timing rule.
+job runs under a ``server_request`` span — which is what mints
+per-request trace ids in the ``--journal`` event stream — and queue
+behavior is visible as ``server.queue_depth`` /
+``server.queue_wait_seconds``.  All clock reads use the event loop's
+clock (``loop.time()``), keeping raw ``time.*`` calls out of the
+server per the ``L040`` timing rule.
 
 Shutdown (SIGTERM/SIGINT) is a drain, not a drop: stop accepting
 connections, let every already-read request finish and answer, run the
@@ -50,26 +50,21 @@ from typing import Any, Optional
 from .. import obs
 from ..cache import CacheLimits, LangCache
 from ..cache.store import SignatureStore
-from .batch import Batcher, DeadlineExceeded, Job
 from .config import ServerConfig
-from .handlers import BATCHED_KINDS, RequestError, compat_key, run_job
+from .handlers import QUEUED_KINDS, RequestError, run_job
 from .httpio import HttpError, HttpRequest, read_request, render_response
+from .jobs import DeadlineExceeded, Job, JobQueue
 
 __all__ = ["SCHEMA", "SolveDaemon", "serve"]
 
 #: Version header of every response envelope.
 SCHEMA = "dprle.server/1"
 
-#: Bucket boundaries for the ``server.batch_size`` histogram.
-_BATCH_BUCKETS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
 #: Grace added to a request's deadline before the *client side* of the
 #: daemon gives up on the future: the dispatcher is the authority on
 #: deadline expiry (it answers expired jobs), this margin only covers
-#: the dispatcher being mid-batch when the deadline lapses.
+#: the dispatcher being mid-job when the deadline lapses.
 _DEADLINE_GRACE = 0.25
-
-_BatchOutcome = tuple[Job, Optional[dict[str, Any]], Optional[BaseException]]
 
 
 def _consume_exception(future: "asyncio.Future[dict[str, Any]]") -> None:
@@ -91,9 +86,7 @@ class SolveDaemon:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event = asyncio.Event()
         self._stopping = False
-        self._batcher = Batcher(
-            batch_window=config.batch_window, max_batch=config.max_batch
-        )
+        self._jobs = JobQueue()
         self._conn_tasks: "set[asyncio.Task[None]]" = set()
         self._collector: Optional[obs.Collector] = None
         self._cache: Optional[LangCache] = None
@@ -188,7 +181,7 @@ class SolveDaemon:
         await server.wait_closed()
         if self._conn_tasks:
             await asyncio.wait(set(self._conn_tasks), timeout=60.0)
-        self._batcher.close()
+        self._jobs.close()
         await dispatcher
         for task in list(self._conn_tasks):
             task.cancel()
@@ -207,50 +200,35 @@ class SolveDaemon:
         assert self._loop is not None
         metrics = self._metrics()
         while True:
-            batch = await self._batcher.next_batch()
-            metrics.gauge("server.queue_depth").set(float(len(self._batcher)))
-            if batch is None:
+            job = await self._jobs.get()
+            metrics.gauge("server.queue_depth").set(float(len(self._jobs)))
+            if job is None:
                 return
             now = self._loop.time()
-            ready: list[Job] = []
-            for job in batch:
-                metrics.histogram("server.queue_wait_seconds").observe(
-                    now - job.enqueued_at
-                )
-                if job.expired(now):
-                    self._resolve(
-                        job, None,
-                        DeadlineExceeded("deadline passed while queued"),
-                    )
-                else:
-                    ready.append(job)
-            if not ready:
-                continue
-            metrics.counter("server.batches").inc()
-            metrics.histogram("server.batch_size", _BATCH_BUCKETS).observe(
-                float(len(ready))
+            metrics.histogram("server.queue_wait_seconds").observe(
+                now - job.enqueued_at
             )
-            metrics.gauge("server.inflight").set(float(len(ready)))
-            outcomes = await asyncio.to_thread(self._run_batch, ready)
+            if job.expired(now):
+                missed = DeadlineExceeded("deadline passed while queued")
+                self._resolve(job, missed)
+                continue
+            metrics.gauge("server.inflight").set(1.0)
+            outcome = await asyncio.to_thread(self._run_job, job)
             metrics.gauge("server.inflight").set(0.0)
-            for job, result, error in outcomes:
-                self._resolve(job, result, error)
+            self._resolve(job, outcome)
 
-    def _resolve(
-        self,
-        job: Job,
-        result: Optional[dict[str, Any]],
-        error: Optional[BaseException],
-    ) -> None:
+    @staticmethod
+    def _resolve(job: Job, outcome: dict[str, Any] | Exception) -> None:
         if job.future.done():
             return
-        if error is not None:
-            job.future.set_exception(error)
+        if isinstance(outcome, Exception):
+            job.future.set_exception(outcome)
         else:
-            job.future.set_result(result if result is not None else {})
+            job.future.set_result(outcome)
 
-    def _run_batch(self, batch: list[Job]) -> list[_BatchOutcome]:
-        """Execute one batch on the worker thread.
+    def _run_job(self, job: Job) -> dict[str, Any] | Exception:
+        """Execute one job on the worker thread; its result, or the
+        error to answer it with.
 
         ``asyncio.to_thread`` propagates the dispatcher's context, so
         the daemon's cache activation, collector, and journal sink are
@@ -259,26 +237,14 @@ class SolveDaemon:
         journal trace id.
         """
         assert self._loop is not None
-        outcomes: list[_BatchOutcome] = []
-        for job in batch:
-            if job.expired(self._loop.time()):
-                outcomes.append(
-                    (job, None,
-                     DeadlineExceeded("deadline passed mid-batch"))
-                )
-                continue
-            try:
-                with obs.span("server_request", endpoint=job.kind):
-                    result = run_job(job.kind, job.payload, self._config)
-            except Exception as error:  # answered, not fatal to the daemon
-                outcomes.append((job, None, error))
-                continue
-            if job.expired(self._loop.time()):  # ready only after its deadline
-                miss = DeadlineExceeded("deadline passed mid-request")
-                outcomes.append((job, None, miss))
-            else:
-                outcomes.append((job, result, None))
-        return outcomes
+        try:
+            with obs.span("server_request", endpoint=job.kind):
+                result = run_job(job.kind, job.payload, self._config)
+        except Exception as error:  # answered, not fatal to the daemon
+            return error
+        if job.expired(self._loop.time()):  # ready only after its deadline
+            return DeadlineExceeded("deadline passed mid-request")
+        return result
 
     # -- connections ---------------------------------------------------
 
@@ -439,15 +405,14 @@ class SolveDaemon:
         job = Job(
             kind=kind,
             payload=payload,
-            compat=compat_key(kind, payload, self._config),
             future=future,
             enqueued_at=now,
             deadline=deadline,
         )
-        if not self._batcher.put(job):
+        if not self._jobs.put(job):
             raise RequestError(503, "server is shutting down")
         self._metrics().gauge("server.queue_depth").set(
-            float(len(self._batcher))
+            float(len(self._jobs))
         )
         if deadline is None:
             return await future
@@ -492,7 +457,7 @@ class SolveDaemon:
             return _rpc_result(rpc_id, self._health_doc())
         if method == "stats":
             return _rpc_result(rpc_id, self._stats_doc())
-        if method not in BATCHED_KINDS:
+        if method not in QUEUED_KINDS:
             return _rpc_error(rpc_id, -32601, f"method not found: {method}")
         try:
             result = await self._enqueue_and_wait(method, params)
@@ -518,7 +483,7 @@ class SolveDaemon:
             "schema": SCHEMA,
             "uptime_s": self._loop.time() - self._started,
             "stopping": self._stopping,
-            "queue_depth": len(self._batcher),
+            "queue_depth": len(self._jobs),
             "cache": self._cache.stats(),
             "metrics": self._metrics().snapshot(),
         }

@@ -43,13 +43,9 @@ class RegLangSolver:
         self,
         alphabet: Alphabet = BYTE_ALPHABET,
         cache: Optional[CacheLimits] = None,
-        workers: Optional[int] = None,
         precheck: bool = False,
     ):
         self.alphabet = alphabet
-        # Default fan-out for solves (see repro.parallel): None defers
-        # to GciLimits/DPRLE_WORKERS, 0 forces serial, N>0 uses a pool.
-        self.workers = workers
         # Opt-in sound pruning via the repro.check abstract domains
         # (solution-preserving; see docs/DIAGNOSTICS.md).
         self.precheck = precheck
@@ -173,8 +169,6 @@ class RegLangSolver:
         """
         from contextlib import ExitStack
 
-        if self.workers is not None and (limits is None or limits.workers is None):
-            limits = replace(limits or GciLimits(), workers=self.workers)
         if self.precheck and (limits is None or not limits.precheck):
             limits = replace(limits or GciLimits(), precheck=True)
         with self.cache.activate(), ExitStack() as stack:

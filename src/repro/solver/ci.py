@@ -84,8 +84,8 @@ def concat_intersect(
         ):
             if edge.tag is not tag:
                 continue
-            lhs = m5.with_final(src).trim()  # induce_from_final(M5, qa)
-            rhs = m5.with_start(edge.dst).trim()  # induce_from_start(M5, qb)
+            lhs = m5.trim(finals={src})  # induce_from_final(M5, qa)
+            rhs = m5.trim(starts={edge.dst})  # induce_from_start(M5, qb)
             if lhs.is_empty() or rhs.is_empty():
                 continue
             if maximize:

@@ -61,7 +61,7 @@ from .. import obs
 from ..automata import ops
 from ..automata.equivalence import equivalent, is_subset
 from ..automata.nfa import BridgeTag, Nfa
-from ..cache import CacheLimits, active_cache
+from ..cache import active_cache
 from ..constraints.depgraph import DepGraph, Node
 
 __all__ = ["CombinationLimitExceeded", "GciLimits", "solve_group", "group_solutions"]
@@ -98,12 +98,6 @@ class GciLimits:
     workers are available — the task encode/decode would cost more than
     the enumeration.
 
-    ``cache`` requests a solver-scoped language cache
-    (:class:`repro.cache.LangCache`) for the solve: the worklist solver
-    activates one with these limits when no cache is already active.
-    ``None`` leaves caching to the caller (:class:`RegLangSolver`
-    installs its own).
-
     ``precheck`` runs the :mod:`repro.check` abstract domains over the
     graph before solving and prunes what they prove empty — basic
     variables short-circuit to ∅ without any products, and a group
@@ -125,7 +119,6 @@ class GciLimits:
     prune_subsumed: bool = True
     maximize: bool = True
     max_maximize_rounds: int = 3
-    cache: Optional[CacheLimits] = None
     workers: Optional[int] = None
     min_parallel_combinations: int = 64
     precheck: bool = False
@@ -975,12 +968,10 @@ def _occurrence_slice(
         obs.increment_metric("gci.slice_memo_hits")
         return memo[key]
     obs.increment_metric("gci.slice_memo_misses")
-    piece = machines[occ.top].copy()
-    if start_edge is not None:
-        piece.set_start(start_edge[1])
-    if final_edge is not None:
-        piece.set_final(final_edge[0])
-    piece = piece.trim()
+    piece = machines[occ.top].trim(
+        starts=None if start_edge is None else {start_edge[1]},
+        finals=None if final_edge is None else {final_edge[0]},
+    )
     piece.freeze()
     result = None if piece.is_empty() else piece
     # dprle-lint: disable=L001 -- memo is a documented out-param accumulator, not machine state

@@ -28,8 +28,7 @@ from .. import obs
 from ..automata import ops
 from ..automata.equivalence import is_subset
 from ..automata.nfa import Nfa
-from ..cache import LangCache, active_cache
-from ..constraints.depgraph import DepGraph, build_graph
+from ..constraints.depgraph import DepGraph, Node, build_graph
 from ..constraints.terms import Problem
 from .assignments import Assignment, SolutionSet
 from .gci import GciLimits, group_solutions
@@ -83,29 +82,8 @@ def solve_graph(
     limits: Optional[GciLimits] = None,
     only: Optional[list[str]] = None,
 ) -> SolutionSet:
-    """Solve a pre-built dependency graph (Fig. 7's entry point).
-
-    When ``limits.cache`` requests a language cache and none is active
-    yet, one is activated for the duration of this solve (solver-scoped
-    memoization of determinize/minimize/intersect/inclusion work).
-    """
+    """Solve a pre-built dependency graph (Fig. 7's entry point)."""
     limits = limits or GciLimits()
-    if limits.cache is not None and active_cache() is None:
-        with LangCache(limits.cache).activate():
-            return _solve_graph(
-                graph, variable_names, query, max_solutions, limits, only
-            )
-    return _solve_graph(graph, variable_names, query, max_solutions, limits, only)
-
-
-def _solve_graph(
-    graph: DepGraph,
-    variable_names: list[str],
-    query: Optional[list[str]],
-    max_solutions: Optional[int],
-    limits: GciLimits,
-    only: Optional[list[str]],
-) -> SolutionSet:
     query_names = list(query) if query is not None else list(variable_names)
     wanted: Optional[set[str]] = set(only) if only is not None else None
 
@@ -210,12 +188,13 @@ def _solve_graph(
                 solve_span.set("assignments", 0)
                 return SolutionSet([], query_names)
 
-        # With workers configured, solve every group up-front on one
-        # shared process pool (independent-group scheduling): the
-        # groups are disjoint, so the per-item re-enumeration below
-        # would recompute identical solution lists anyway.  The BFS
-        # then replays the cached lists, so ordering, caps, and the
-        # resulting SolutionSet are exactly the serial path's.
+        # A group's solutions do not depend on the partial assignment,
+        # so each group is solved once, the first time the BFS reaches
+        # it, and its list is replayed for every later work item.  With
+        # workers configured, every group is instead solved up-front on
+        # one shared process pool (independent-group scheduling); the
+        # BFS replays those lists the same way, so ordering, caps, and
+        # the resulting SolutionSet are exactly the serial path's.
         from ..parallel import resolve_workers, solve_groups
 
         # The BFS below consumes at most max(1, max_solutions) solutions
@@ -230,10 +209,12 @@ def _solve_graph(
                 group_limits = replace(limits, max_solutions=per_group)
 
         workers = resolve_workers(limits.workers)
-        cached: Optional[list[list]] = None
+        solved: list[Optional[list[dict[Node, Nfa]]]] = [None] * len(groups)
         if workers > 0 and groups:
             take = max(1, max_solutions) if max_solutions is not None else None
-            cached = solve_groups(graph, groups, group_limits, workers, take)
+            solved = list(
+                solve_groups(graph, groups, group_limits, workers, take)
+            )
 
         assignments: list[Assignment] = []
         queue: deque[tuple[int, dict[str, Nfa]]] = deque([(0, base)])
@@ -251,11 +232,10 @@ def _solve_graph(
             ) as iter_span:
                 group = groups[group_index]
                 produced = 0
-                source = (
-                    cached[group_index]
-                    if cached is not None
-                    else group_solutions(graph, group, group_limits)
-                )
+                source = solved[group_index]
+                if source is None:
+                    source = list(group_solutions(graph, group, group_limits))
+                    solved[group_index] = source
                 for solution in source:
                     mapping = dict(partial)
                     for node, machine in solution.items():

@@ -1,4 +1,4 @@
-"""In-process tests for the daemon: endpoints, deadlines, batching.
+"""In-process tests for the daemon: endpoints, deadlines, the job queue.
 
 The daemon runs on a background thread with its own event loop
 (``port=0``, real sockets on loopback) and is driven with
@@ -27,7 +27,6 @@ class DaemonHarness:
 
     def __init__(self, **overrides):
         overrides.setdefault("port", 0)
-        overrides.setdefault("batch_window", 0.002)
         self.daemon = SolveDaemon(ServerConfig(**overrides))
         self.exit_code = None
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -270,33 +269,54 @@ class TestJsonRpc:
         assert doc["error"]["code"] == -32602
 
 
-class TestBatching:
-    def test_concurrent_burst_coalesces(self):
-        # A wide batch window plus a synchronized burst: the batcher
-        # must put at least two compatible jobs in one batch.
-        with DaemonHarness(batch_window=0.25, max_batch=8) as harness:
-            barrier = threading.Barrier(4)
-            results = []
+def _wait_for_queue_depth(harness, depth, timeout=30.0):
+    """Poll /stats until ``depth`` jobs wait in the daemon's queue."""
+    import time
 
-            def fire():
-                barrier.wait()
-                results.append(
-                    harness.request(
-                        "POST", "/solve", {"source": SIMPLE_SOURCE}
-                    )
-                )
+    give_up = time.monotonic() + timeout
+    while time.monotonic() < give_up:
+        _, stats = harness.request("GET", "/stats")
+        if stats["queue_depth"] == depth:
+            return
+        time.sleep(0.005)
+    raise AssertionError(f"queue never reached depth {depth}")
 
-            threads = [threading.Thread(target=fire) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert all(status == 200 for status, _ in results)
-            _, stats = harness.request("GET", "/stats")
-            batch_size = stats["metrics"]["histograms"]["server.batch_size"]
-            assert batch_size["max"] >= 2
-            assert stats["metrics"]["counters"]["server.batches"] >= 1
 
+class _BusyDispatcher:
+    """Wraps ``run_job`` so a labelled job waits on ``holds[label]``
+    (up to 10 s) before it runs, and records the order in which the
+    dispatcher starts and finishes jobs.  The job labelled "first"
+    holds the dispatcher until :meth:`release`.  Labels ride in an
+    extra payload field, which the handlers ignore."""
+
+    def __init__(self, monkeypatch):
+        import repro.server.daemon as daemon_mod
+
+        self.order = []
+        self.finished = []
+        self.started = threading.Event()
+        self.holds = {"first": threading.Event()}
+        self._run_job = daemon_mod.run_job
+        monkeypatch.setattr(daemon_mod, "run_job", self._job)
+
+    def _job(self, kind, payload, config):
+        label = payload.get("label")
+        self.order.append(label)
+        if label == "first":
+            self.started.set()
+        hold = self.holds.get(label)
+        if hold is not None:
+            hold.wait(timeout=10)
+        try:
+            return self._run_job(kind, payload, config)
+        finally:
+            self.finished.append(label)
+
+    def release(self):
+        self.holds["first"].set()
+
+
+class TestQueue:
     def test_shared_cache_across_requests(self):
         # Second identical solve must hit the daemon-lifetime cache.
         with DaemonHarness() as harness:
@@ -309,6 +329,71 @@ class TestBatching:
             _, stats = harness.request("GET", "/stats")
             hits = stats["cache"]["hits"]
             assert sum(hits.values()) > 0
+
+    def _queue_behind_first(self, harness, busy, jobs, on_answer=None):
+        """Send "first", then each ``(label, path, source)`` once the
+        previous one is queued; release "first" and await every answer."""
+        results = {}
+
+        def send(label, path, source):
+            results[label] = harness.request(
+                "POST", path, {"source": source, "label": label}
+            )
+            if on_answer is not None:
+                on_answer(label)
+
+        threads = [
+            threading.Thread(
+                target=send, args=("first", "/solve", SIMPLE_SOURCE)
+            )
+        ]
+        threads[0].start()
+        assert busy.started.wait(timeout=30)
+        for depth, job in enumerate(jobs, start=1):
+            threads.append(threading.Thread(target=send, args=job))
+            threads[-1].start()
+            _wait_for_queue_depth(harness, depth)
+        busy.release()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert all(status == 200 for status, _ in results.values())
+        assert len(results) == len(jobs) + 1
+
+    def test_queued_jobs_run_in_arrival_order(self, monkeypatch):
+        # Solve, check, solve queued behind a busy dispatcher run in
+        # the order they arrived, whatever their endpoints.
+        busy = _BusyDispatcher(monkeypatch)
+        with DaemonHarness() as harness:
+            self._queue_behind_first(harness, busy, [
+                ("solve-1", "/solve", SIMPLE_SOURCE),
+                ("check", "/check", SIMPLE_SOURCE),
+                ("solve-2", "/solve", SIMPLE_SOURCE),
+            ])
+        assert busy.order == ["first", "solve-1", "check", "solve-2"]
+
+    def test_small_job_answered_before_later_heavy_job_finishes(
+        self, monkeypatch
+    ):
+        # A small solve queued just ahead of a heavy one is answered
+        # while the heavy one still runs: the heavy job is held until
+        # the small answer is in (or for 10 s, if it never comes).
+        busy = _BusyDispatcher(monkeypatch)
+        small_answered = threading.Event()
+        busy.holds["heavy"] = small_answered
+        finished_at_small_answer = []
+
+        def on_answer(label):
+            if label == "small":
+                finished_at_small_answer.extend(busy.finished)
+                small_answered.set()
+
+        with DaemonHarness() as harness:
+            self._queue_behind_first(harness, busy, [
+                ("small", "/solve", SIMPLE_SOURCE),
+                ("heavy", "/solve", (DATA / "wide.dprle").read_text()),
+            ], on_answer)
+        assert busy.order == ["first", "small", "heavy"]
+        assert finished_at_small_answer == ["first", "small"]
 
 
 class TestPersistence:

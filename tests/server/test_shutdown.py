@@ -117,34 +117,57 @@ class TestCheckOnly:
         assert "error" in (result.stdout + result.stderr).lower()
 
 
+def _stats(port):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request("GET", "/stats")
+        return json.loads(conn.getresponse().read())
+    finally:
+        conn.close()
+
+
 class TestSigtermDrain:
     def test_inflight_requests_answered_then_clean_exit(self):
-        # Widen the batch window so the burst is still queued (not yet
-        # dispatched) when SIGTERM lands — the drain must answer it all.
-        process = _spawn("--batch-window-ms", "300")
+        # A slow first request (every solution of wider.dprle) holds the
+        # dispatcher, so the burst behind it is still queued when
+        # SIGTERM lands — the drain must answer it all.
+        process = _spawn()
         try:
             port = _await_port(process)
+            slow = (DATA / "wider.dprle").read_text()
             text = (DATA / "wide.dprle").read_text()
             results = []
             lock = threading.Lock()
 
-            def fire():
-                status, doc = _post(
-                    port, "/solve", {"source": text, "max_solutions": 1}
-                )
+            def fire(body):
+                status, doc = _post(port, "/solve", body)
                 with lock:
                     results.append((status, doc))
 
-            threads = [threading.Thread(target=fire) for _ in range(6)]
+            first = threading.Thread(target=fire, args=({"source": slow},))
+            first.start()
+            give_up = time.monotonic() + 30
+            while _stats(port)["metrics"]["gauges"].get(
+                "server.inflight"
+            ) != 1.0:
+                assert time.monotonic() < give_up, "slow solve never started"
+                time.sleep(0.01)
+            burst = {"source": text, "max_solutions": 1}
+            threads = [
+                threading.Thread(target=fire, args=(burst,)) for _ in range(6)
+            ]
             for thread in threads:
                 thread.start()
-            time.sleep(0.1)  # let requests reach the queue
+            while _stats(port)["queue_depth"] < 6:
+                assert time.monotonic() < give_up, "burst never queued"
+                time.sleep(0.01)
             process.send_signal(signal.SIGTERM)
+            threads.append(first)
             for thread in threads:
                 thread.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
 
-            assert len(results) == 6
+            assert len(results) == 7
             for status, doc in results:
                 assert status == 200, doc
                 assert doc["result"]["satisfiable"] is True
@@ -201,12 +224,7 @@ class TestRestartWarm:
                 port, "/solve", {"source": text, "max_solutions": 1}
             )
             assert status == 200
-            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-            try:
-                conn.request("GET", "/stats")
-                stats = json.loads(conn.getresponse().read())
-            finally:
-                conn.close()
+            stats = _stats(port)
             store = stats["cache"]["store"]
             assert store["hits"] > 0
             assert store["writes"] == 0

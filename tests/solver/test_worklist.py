@@ -1,5 +1,6 @@
 """Unit tests for the general worklist solver (Fig. 7)."""
 
+from repro import obs
 from repro.automata import enumerate_strings, equivalent
 from repro.constraints import Const, Problem, Subset, Var, parse_problem
 from repro.solver import GciLimits, solve
@@ -202,6 +203,37 @@ class TestMultipleGroups:
         )
         assert not solve(problem).satisfiable
         assert len(solve(problem)) == 0
+
+    def test_each_group_solved_once(self):
+        # A group's solutions do not depend on the partial assignment:
+        # the second group must be enumerated once, not once per
+        # solution of the first.
+        first = "var va, vb;\nva . vb <= /xyy(z|yyz)|xyyyyz/;\n"
+        second = "var vc, vd;\nvc . vd <= /(a|b){3}/;\n"
+        both = "var va, vb, vc, vd;\n" + "".join(
+            text.split("\n", 1)[1] for text in (first, second)
+        )
+
+        def solved(text):
+            with obs.collect() as collector:
+                solutions = solve(parse_problem(text), limits=GciLimits(workers=0))
+            counters = collector.metrics.snapshot()["counters"]
+            return solutions, counters["gci.combinations_total"]
+
+        first_solutions, first_total = solved(first)
+        second_solutions, second_total = solved(second)
+        solutions, total = solved(both)
+        assert total == first_total + second_total
+        assert len(solutions) == len(first_solutions) * len(second_solutions)
+        pairs = {
+            (words(s["va"]), words(s["vb"]), words(s["vc"]), words(s["vd"]))
+            for s in solutions
+        }
+        assert pairs == {
+            (words(a["va"]), words(a["vb"]), words(b["vc"]), words(b["vd"]))
+            for a in first_solutions
+            for b in second_solutions
+        }
 
 
 class TestLimitsPlumbing:
